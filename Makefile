@@ -44,6 +44,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParse$$ -fuzztime=10s ./internal/msg/
 	$(GO) test -run=NONE -fuzz=FuzzParseSrv -fuzztime=10s ./internal/msg/
 	$(GO) test -run=NONE -fuzz=FuzzSparseDecoder -fuzztime=10s ./internal/fieldwire/
+	$(GO) test -run=NONE -fuzz=FuzzIngressEquivalence -fuzztime=10s ./internal/wire/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -70,9 +71,10 @@ bench-egress:
 bench-fanout:
 	$(GO) run ./cmd/rossf-bench fanout -out BENCH_fanout.json
 
-# Receive-side matrix: batched ingress drain (one Read wakeup draining
-# many frames) vs the legacy two-syscalls-per-frame path, measured in
-# the same binary via ros.SetLegacyIngress, plus the sharded-registry
+# Receive-side matrix: the receive pump's batched drain (ros.DrainFrames:
+# one Read wakeup draining many frames) vs the frozen two-syscalls-per-
+# frame reference reader in internal/bench/ingress.go, measured in the
+# same binary, plus the sharded-registry
 # contention cells (64 goroutines x 10k topics; scan-stall bound vs the
 # single-mutex layout) -> BENCH_ingress.json.
 bench-ingress:

@@ -3,7 +3,9 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,13 +13,14 @@ import (
 
 	"rossf/internal/obs"
 	"rossf/internal/ros"
+	"rossf/internal/wire"
 )
 
 // IngressConfig parameterizes the receive-side matrix: a high-rate
 // single-subscriber drain (one publisher saturating one TCP reader, the
-// mirror image of the egress bench) measured through the batched
-// ingress reader and through the legacy per-frame path
-// (ros.SetLegacyIngress), plus a registry-contention matrix — N
+// mirror image of the egress bench) measured through the receive pump
+// (ros.DrainFrames) and through drainSequential, the frozen per-frame
+// reference reader, plus a registry-contention matrix — N
 // goroutines hammering per-topic instrument lookups across a 10k-topic
 // namespace on the sharded registry vs a single-mutex reference.
 type IngressConfig struct {
@@ -73,9 +76,8 @@ func (c *IngressConfig) framesFor(size int) int {
 }
 
 // IngressDrainRow is one single-subscriber drain cell. Baseline numbers
-// come from the legacy sequential path (two ReadFull syscalls per
-// frame) run in the same binary, interleaved with the batched
-// measurements.
+// come from drainSequential (two ReadFull syscalls per frame) run in the
+// same binary, interleaved with the batched measurements.
 type IngressDrainRow struct {
 	SizeBytes        int     `json:"size_bytes"`
 	Frames           int     `json:"frames"`
@@ -159,7 +161,7 @@ func (r *IngressResult) Format() string {
 func RunIngress(cfg IngressConfig) (*IngressResult, error) {
 	cfg.fillDefaults()
 	res := &IngressResult{
-		Baseline: "legacy per-frame ingress: two ReadFull syscalls per frame (ros.SetLegacyIngress); single-mutex registries for the contention cells",
+		Baseline: "sequential per-frame reference reader in internal/bench (wire.FrameScanner.Next, io.ReadFull, wire.Checksum: two ReadFull syscalls per frame) vs the receive pump (ros.DrainFrames); single-mutex registries for the contention cells",
 	}
 	for _, size := range cfg.Sizes {
 		row, err := runIngressDrainCell(size, cfg)
@@ -223,13 +225,11 @@ func runIngressDrainCell(size int, cfg IngressConfig) (IngressDrainRow, error) {
 }
 
 // runIngressDrainOnce stands up one publisher → one drain reader and
-// measures a streaming run through the selected ingress path: publish n
-// frames under a credit window, wait until the reader has verified all
-// of them. Returns wall-clock nanoseconds per frame.
+// measures a streaming run through the selected reader (legacy selects
+// drainSequential): publish n frames under a credit window, wait until
+// the reader has verified all of them. Returns wall-clock nanoseconds
+// per frame.
 func runIngressDrainOnce(size, n int, legacy bool, cfg IngressConfig) (float64, error) {
-	prev := ros.SetLegacyIngress(legacy)
-	defer ros.SetLegacyIngress(prev)
-
 	master := ros.NewLocalMaster()
 	node, err := ros.NewNode("ingress_pub", ros.WithMaster(master), ros.WithMetrics(cfg.Registry))
 	if err != nil {
@@ -260,8 +260,12 @@ func runIngressDrainOnce(size, n int, legacy bool, cfg IngressConfig) (float64, 
 
 	var delivered atomic.Int64
 	drainErr := make(chan error, 1)
+	drain := ros.DrainFrames
+	if legacy {
+		drain = drainSequential
+	}
 	go func() {
-		drainErr <- ros.DrainFrames(conn, total, func(d int) {
+		drainErr <- drain(conn, total, func(d int) {
 			delivered.Store(int64(d))
 		})
 	}()
@@ -320,6 +324,33 @@ func runIngressDrainOnce(size, n int, legacy bool, cfg IngressConfig) (float64, 
 		return 0, fmt.Errorf("drain reader: %w", err)
 	}
 	return float64(elapsed) / float64(n), nil
+}
+
+// drainSequential is the frozen pre-batching reference reader the
+// ingress bench measures the receive pump against: per frame, one
+// ReadFull for the header (wire.FrameScanner), one for the payload, then
+// the checksum — two syscalls per frame. It has DrainFrames' contract.
+func drainSequential(conn net.Conn, count int, progress func(delivered int)) error {
+	scan := wire.NewFrameScanner(conn, 1<<26)
+	var buf []byte
+	for delivered := 0; delivered < count; {
+		n, crc, err := scan.Next()
+		if err != nil {
+			return err
+		}
+		if cap(buf) < n {
+			buf = make([]byte, n)
+		}
+		if _, err := io.ReadFull(conn, buf[:n]); err != nil {
+			return err
+		}
+		if wire.Checksum(buf[:n]) != crc {
+			continue
+		}
+		delivered++
+		progress(delivered)
+	}
+	return nil
 }
 
 // contentionWorkers runs the worker half of a contention cell: workers

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync/atomic"
 	"time"
 
 	"rossf/internal/shm"
@@ -107,125 +106,50 @@ func writeFrame(conn net.Conn, payload []byte) error {
 	return wire.WriteFrame(conn, payload, wire.Checksum(payload))
 }
 
-// legacyIngress selects the pre-batching receive path (sequential
-// FrameScanner, two syscalls per frame) for A/B benchmarking. The
-// default — batched ingress — drains everything the kernel has buffered
-// in one read wakeup. Mirrors legacyEgress on the send side.
-var legacyIngress atomic.Bool
-
-// SetLegacyIngress toggles the per-frame legacy receive path for
-// connections created afterwards, returning the previous setting.
-// Benchmarks use this for in-binary A/B comparison; production code
-// should never call it.
-func SetLegacyIngress(on bool) bool { return legacyIngress.Swap(on) }
-
-// frameReader consumes checked frames from a connection, rejecting
-// corrupted payloads and resynchronizing after stream damage. By
-// default it reads through wire.IngressReader — a pooled batch buffer
-// drained with one syscall per wakeup — and falls back to the
-// sequential wire.FrameScanner when legacy ingress is selected. Both
-// paths share the transport's frame-size bound and identical
-// reject-and-resync semantics.
+// frameReader consumes checked frames from a connection through
+// wire.IngressReader — a pooled batch buffer drained with one syscall
+// per wakeup — adding the scratch fallback for payloads too large to
+// pin in the batch and the resync bookkeeping the subscription counters
+// fold.
 type frameReader struct {
-	conn  net.Conn
-	scan  *wire.FrameScanner  // legacy per-frame path; nil when batched
-	batch *wire.IngressReader // batched path; nil when legacy
-
-	foldedSkip uint64 // resync bytes already folded into counters (skippedDelta)
+	*wire.IngressReader
+	scratch    scratchBuf // payloads the batch cannot pin (see frame)
+	foldedSkip uint64     // resync bytes already folded into counters (skippedDelta)
 }
 
 func newFrameReader(conn net.Conn) *frameReader {
-	return newFrameReaderWithMax(conn, maxFrameSize)
+	return &frameReader{IngressReader: wire.NewIngressReader(conn, maxFrameSize)}
 }
 
 // newTaggedFrameReader builds the reader for an shm-negotiated
 // connection, whose inline-fallback frames may be as large as the
 // shared-memory message cap.
 func newTaggedFrameReader(conn net.Conn) *frameReader {
-	return newFrameReaderWithMax(conn, maxTaggedFrameSize)
+	return &frameReader{IngressReader: wire.NewIngressReader(conn, maxTaggedFrameSize)}
 }
 
-func newFrameReaderWithMax(conn net.Conn, maxLen int) *frameReader {
-	if legacyIngress.Load() {
-		return &frameReader{conn: conn, scan: wire.NewFrameScanner(conn, maxLen)}
+// frame returns the next n payload bytes: sliced in place out of the
+// batch buffer when they fit, else read into the reader's scratch.
+// Either way they are valid only until the next reader call, so callers
+// consume them (verify, decode, copy) before asking for more.
+func (fr *frameReader) frame(n int) ([]byte, error) {
+	p, ok, err := fr.Payload(n)
+	if ok || err != nil {
+		return p, err
 	}
-	return &frameReader{conn: conn, batch: wire.NewIngressReader(conn, maxLen)}
-}
-
-// next returns the next frame's payload length and expected checksum.
-// The caller consumes exactly that many bytes — via payload, readFull,
-// or discard — and validates them with fr.verify.
-func (fr *frameReader) next() (int, uint32, error) {
-	if fr.batch != nil {
-		return fr.batch.Next()
-	}
-	return fr.scan.Next()
-}
-
-// payload returns the next n payload bytes sliced in place out of the
-// batch buffer — zero-copy, valid until the next reader call. ok=false
-// means the caller must fall back to readFull into its own storage:
-// always the case on the legacy path, and on the batched path for
-// payloads too large to pin in the batch.
-func (fr *frameReader) payload(n int) (p []byte, ok bool, err error) {
-	if fr.batch != nil {
-		return fr.batch.Payload(n)
-	}
-	return nil, false, nil
-}
-
-// readFull fills dst with the next len(dst) stream bytes, draining any
-// batched bytes first.
-func (fr *frameReader) readFull(dst []byte) error {
-	if fr.batch != nil {
-		return fr.batch.ReadFull(dst)
-	}
-	_, err := io.ReadFull(fr.conn, dst)
-	return err
-}
-
-// discard consumes and drops n stream bytes (an unusable frame's body).
-func (fr *frameReader) discard(n int) error {
-	if fr.batch != nil {
-		return fr.batch.Discard(n)
-	}
-	_, err := io.CopyN(io.Discard, fr.conn, int64(n))
-	return err
-}
-
-// release returns the batch buffer to the pool; the reader must not be
-// used afterwards. Receive pumps call this when the connection dies.
-func (fr *frameReader) release() {
-	if fr.batch != nil {
-		fr.batch.Release()
-	}
-}
-
-// skipped reports the bytes discarded so far while resynchronizing.
-func (fr *frameReader) skipped() uint64 {
-	if fr.batch != nil {
-		return fr.batch.SkippedBytes()
-	}
-	return fr.scan.SkippedBytes()
+	p = fr.scratch.take(n)
+	return p, fr.ReadFull(p)
 }
 
 // skippedDelta reports the bytes discarded by resync since the previous
-// call. Receive pumps fold the delta into the subscription counter
-// after every frame, so introspection sees stream damage while the
-// connection is still alive — not only when its pump exits.
+// call. The pump folds the delta into the subscription counter after
+// every frame, so introspection sees stream damage while the connection
+// is still alive — not only when its pump exits.
 func (fr *frameReader) skippedDelta() uint64 {
-	s := fr.skipped()
+	s := fr.SkippedBytes()
 	d := s - fr.foldedSkip
 	fr.foldedSkip = s
 	return d
-}
-
-// verify checks a received payload against its header checksum. A false
-// result means the frame must be dropped; the stream itself remains
-// usable (the next header is re-validated by magic, so a
-// desynchronized stream recovers by scanning).
-func (fr *frameReader) verify(payload []byte, crc uint32) bool {
-	return wire.Checksum(payload) == crc
 }
 
 // nativeEndianName returns this process's byte order header value.

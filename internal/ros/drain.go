@@ -9,12 +9,15 @@ import (
 
 // DialDrain performs the subscriber half of the TCP handshake against a
 // publisher endpoint and returns the raw connection carrying the frame
-// stream (parse it with wire.FrameScanner). It is the bench and tooling
-// hook for standing up very large fan-outs: a full Subscriber costs a
-// master watch, a dial goroutine, and a managed reader per connection,
-// which at ten thousand subscribers measures the harness instead of the
-// egress under test. DialDrain buys just the stream — no retry loop, no
-// CRC verification, no dispatch — so the reader side stays a negligible
+// stream: consume it with DrainFrames (the receive pump with a counting
+// sink) or parse it with any frame reader of the caller's own — the
+// ingress bench runs a frozen sequential wire.FrameScanner loop on it
+// as the pump's baseline. It is the bench and tooling hook for standing
+// up very large fan-outs: a full Subscriber costs a master watch, a
+// dial goroutine, and a managed reader per connection, which at ten
+// thousand subscribers measures the harness instead of the egress under
+// test. DialDrain buys just the stream — no retry loop, no CRC
+// verification, no dispatch — so the reader side stays a negligible
 // slice of the measurement.
 //
 // The caller owns the connection and must Close it. Frames arrive in
@@ -55,39 +58,30 @@ func DialDrain(addr, topic, typeName, md5, callerID string, sfm bool) (net.Conn,
 }
 
 // DrainFrames consumes count checked frames from a drained connection
-// through the subscriber's own frame-reading path — batched ingress by
-// default, the sequential per-frame path under SetLegacyIngress — with
-// per-frame CRC verification exactly as the receive pumps do. It is the
-// ingress bench's measurement loop: the real reader, none of the
-// dispatch. progress (optional) is called with the running total after
-// every verified frame, so a pacing publisher can run a credit window
-// against it. Corrupt frames are dropped and do not count.
+// through the receive pump with a counting sink: batched ingress and
+// per-frame CRC verification exactly as a subscription, none of the
+// dispatch. It is the ingress bench's measurement loop. progress
+// (optional) is called with the running total after every verified
+// frame, so a pacing publisher can run a credit window against it.
+// Corrupt frames are dropped and do not count.
 func DrainFrames(conn net.Conn, count int, progress func(delivered int)) error {
-	fr := newFrameReader(conn)
-	defer fr.release()
-	var scratch scratchBuf
-	for delivered := 0; delivered < count; {
-		n, crc, err := fr.next()
-		if err != nil {
-			return err
-		}
-		buf, ok, err := fr.payload(n)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			buf = scratch.take(n)
-			if err := fr.readFull(buf); err != nil {
-				return err
-			}
-		}
-		if !fr.verify(buf, crc) {
-			continue
-		}
+	if count <= 0 {
+		return nil
+	}
+	delivered := 0
+	k := &sink{sub: &Subscriber{}, deliver: func(image, bool) error {
 		delivered++
 		if progress != nil {
 			progress(delivered)
 		}
+		if delivered == count {
+			return errDrained
+		}
+		return nil
+	}}
+	p := &pump{fr: newFrameReader(conn), sink: k}
+	if err := p.run(); err != errDrained {
+		return err
 	}
 	return nil
 }

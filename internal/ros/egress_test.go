@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rossf/internal/core"
+	"rossf/internal/fieldwire"
 	"rossf/internal/obs"
 	"rossf/internal/wire"
 )
@@ -34,59 +35,79 @@ func (c captureConn) SetWriteDeadline(time.Time) error { return nil }
 // TestPublishSFMHashesOncePerFanout pins the single-pass checksum
 // property: an SFM publish fanning out to N TCP subscribers hashes the
 // arena exactly once (at publish time), and the write loop ships the
-// stamped value without rehashing.
+// stamped value without rehashing. A fan-out of field-masked
+// connections hashes nothing at publish time: their sparse writers
+// checksum their own ranges and never read a stamp.
 func TestPublishSFMHashesOncePerFanout(t *testing.T) {
 	const fanout = 8
-	ep := &pubEndpoint{
-		conns:  make(map[*pubConn]struct{}),
-		inproc: make(map[inprocTarget]uint64),
-	}
-	conns := make([]*pubConn, 0, fanout)
-	for i := 0; i < fanout; i++ {
-		pc := &pubConn{
-			conn: discardConn{},
-			ch:   make(chan frameItem, fanout),
-			stop: make(chan struct{}),
+	for _, masked := range []bool{false, true} {
+		ep := &pubEndpoint{
+			conns:  make(map[*pubConn]struct{}),
+			inproc: make(map[*sink]uint64),
 		}
-		ep.conns[pc] = struct{}{}
-		conns = append(conns, pc)
-	}
-
-	m, err := core.NewWithCapacity[queueMsg](1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	used, err := core.UsedSize(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	before := wire.ChecksumBytes()
-	if err := publishSFM(ep, m); err != nil {
-		t.Fatal(err)
-	}
-	if d := wire.ChecksumBytes() - before; d != uint64(used) {
-		t.Fatalf("publish to %d subscribers hashed %d bytes, want exactly one %d-byte pass",
-			fanout, d, used)
-	}
-
-	// Drain every connection's queue through the batch writer: the
-	// stamped checksums mean not one more byte is hashed on the way out.
-	before = wire.ChecksumBytes()
-	for _, pc := range conns {
-		b := newEgressBatch(pc)
-		for len(pc.ch) > 0 {
-			b.add(<-pc.ch)
+		conns := make([]*pubConn, 0, fanout)
+		for i := 0; i < fanout; i++ {
+			pc := &pubConn{
+				conn: discardConn{},
+				ch:   make(chan frameItem, fanout),
+				stop: make(chan struct{}),
+			}
+			if masked {
+				pc.mask = &fieldwire.Mask{}
+			}
+			ep.conns[pc] = struct{}{}
+			conns = append(conns, pc)
 		}
-		if !b.flush() {
-			t.Fatal("flush failed")
+
+		m, err := core.NewWithCapacity[queueMsg](1024)
+		if err != nil {
+			t.Fatal(err)
 		}
-		b.close()
+		used, err := core.UsedSize(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := uint64(used)
+		if masked {
+			want = 0
+		}
+
+		before := wire.ChecksumBytes()
+		if err := publishSFM(ep, m); err != nil {
+			t.Fatal(err)
+		}
+		if d := wire.ChecksumBytes() - before; d != want {
+			t.Fatalf("publish to %d subscribers (masked=%v) hashed %d bytes, want %d",
+				fanout, masked, d, want)
+		}
+		if masked {
+			for _, pc := range conns {
+				for len(pc.ch) > 0 {
+					(<-pc.ch).release()
+				}
+			}
+			core.Release(m)
+			continue
+		}
+
+		// Drain every connection's queue through the batch writer: the
+		// stamped checksums mean not one more byte is hashed on the way out.
+		before = wire.ChecksumBytes()
+		for _, pc := range conns {
+			b := newEgressBatch(pc)
+			for len(pc.ch) > 0 {
+				b.add(<-pc.ch)
+			}
+			if !b.flush() {
+				t.Fatal("flush failed")
+			}
+			b.close()
+		}
+		if d := wire.ChecksumBytes() - before; d != 0 {
+			t.Fatalf("write loop rehashed %d bytes despite stamped checksums", d)
+		}
+		core.Release(m)
 	}
-	if d := wire.ChecksumBytes() - before; d != 0 {
-		t.Fatalf("write loop rehashed %d bytes despite stamped checksums", d)
-	}
-	core.Release(m)
 }
 
 // TestBatchStreamDecodesToFrames is the batch framing property test: the

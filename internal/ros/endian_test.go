@@ -122,3 +122,70 @@ func TestSFMForeignEndianPeer(t *testing.T) {
 		t.Fatal("no converted message from foreign peer")
 	}
 }
+
+// TestRawForeignEndianFrameConverted: a raw publisher replaying frames
+// recorded in the opposite byte order declares that order, and a typed
+// SFM subscriber converts on arrival whichever transport carries the
+// frame — the in-process hand-over included.
+func TestRawForeignEndianFrameConverted(t *testing.T) {
+	src, err := core.NewWithCapacity[endianMsg](4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Height, src.Width = 7, 0x01020304
+	src.Label.MustSet("replay")
+	native, err := core.Bytes(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout, err := core.LayoutOf[endianMsg]()
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := append([]byte(nil), native...)
+	if err := core.ForeignizeEndianness(foreign, layout); err != nil {
+		t.Fatal(err)
+	}
+	core.Release(src)
+
+	for _, mode := range []TransportMode{TransportAuto, TransportTCP} {
+		master := NewLocalMaster()
+		node, err := NewNode("replay", WithMaster(master))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pub, err := AdvertiseRaw(node, "endian/raw", "test_msgs/Endian",
+			"aaaabbbbccccdddd0000111122223333", true, !core.NativeLittleEndian())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Only scalars are read: an unconverted image's string descriptor
+		// would point outside the arena.
+		type snapshot struct{ h, w uint32 }
+		got := make(chan snapshot, 1)
+		sub, err := Subscribe(node, "endian/raw", func(m *endianMsg) {
+			got <- snapshot{m.Height, m.Width}
+		}, WithTransport(mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for pub.NumSubscribers() == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if err := pub.PublishFrame(foreign); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case s := <-got:
+			if s.h != 7 || s.w != 0x01020304 {
+				t.Errorf("mode %d: got height %d width %#x, want 7 0x1020304", mode, s.h, s.w)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("mode %d: no message", mode)
+		}
+		sub.Close()
+		pub.Close()
+		node.Close()
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"rossf/internal/core"
 	"rossf/internal/fieldwire"
 	"rossf/internal/obs"
 	"rossf/internal/wire"
@@ -277,162 +276,6 @@ func (pc *pubConn) writeLoopSparse() {
 			if !b.flush() {
 				return
 			}
-		}
-	}
-}
-
-// sparseRuntime is implemented by receive runtimes that can decode the
-// sparse payload encoding; a runtime without it makes the subscriber
-// redial mask-less.
-type sparseRuntime interface {
-	runConnSparse(conn net.Conn, pubHeader map[string]string, sc *subConn)
-}
-
-// runConnSparse consumes sparse frames from a mask-negotiated
-// connection: outer frame CRC, then table validation, then
-// materialization into a fresh arena with per-range CRCs and zero-
-// filled gaps — a corrupted or mis-sliced payload is dropped before
-// anything can be adopted as a live message. Persistent decode failure
-// (a peer whose encoding we cannot track) disables the mask on this
-// link and redials for full frames.
-func (r *sfmRuntime[T]) runConnSparse(conn net.Conn, pubHeader map[string]string, sc *subConn) {
-	srcLittle := pubHeader[hdrEndian] != endianBig
-	fr := newFrameReader(conn)
-	defer r.sub.noteStreamDamage(fr)
-	fw := r.sub.node.fieldwireStats()
-	var dec fieldwire.Decoder
-	var scratch scratchBuf
-	badStreak := 0
-	for {
-		n, crc, err := fr.next()
-		if err != nil {
-			return
-		}
-		r.sub.noteResync(fr)
-		// Sparse payloads are parsed and materialized before the next
-		// reader call, so the batch's in-place slice is safe; oversized
-		// payloads and the legacy path copy through scratch.
-		payload, ok, err := fr.payload(n)
-		if err != nil {
-			return
-		}
-		if !ok {
-			payload = scratch.take(n)
-			if err := fr.readFull(payload); err != nil {
-				return
-			}
-		}
-		if !fr.verify(payload, crc) {
-			r.sub.noteCorrupt()
-			continue
-		}
-		fullSize, perr := dec.Parse(payload, maxFrameSize)
-		if perr != nil {
-			r.sub.noteCorrupt()
-			if fw != nil {
-				fw.DecodeErrors.Inc()
-			}
-			badStreak++
-			if badStreak >= fieldsFallbackAfter {
-				sc.disableFields()
-				if fw != nil {
-					fw.MaskFallbacks.Inc()
-				}
-				return // redial offers full frames only
-			}
-			continue
-		}
-		badStreak = 0
-		buf := r.mgr.GetBuffer(fullSize)
-		if err := dec.Materialize(payload, buf.Bytes()[:fullSize]); err != nil {
-			buf.Discard()
-			r.sub.noteCorrupt()
-			if fw != nil {
-				fw.DecodeErrors.Inc()
-			}
-			continue
-		}
-		if err := core.ConvertEndianness(buf.Bytes()[:fullSize], r.layout, srcLittle); err != nil {
-			buf.Discard()
-			return
-		}
-		m, err := core.Adopt[T](buf, fullSize)
-		if err != nil {
-			buf.Discard()
-			continue
-		}
-		// Instrumented size is the wire payload, not the materialized
-		// arena, so subscriber byte counters show the on-wire saving.
-		r.deliverAdopted(m, n)
-	}
-}
-
-// runConnSparse for raw subscriptions (rostopic echo/bw -fields):
-// materializes each sparse payload into a scratch full-size image and
-// delivers it as a normal SFM frame.
-func (r *rawSFMRuntime) runConnSparse(conn net.Conn, pubHeader map[string]string, sc *subConn) {
-	little := pubHeader[hdrEndian] != endianBig
-	fr := newFrameReader(conn)
-	defer r.sub.noteStreamDamage(fr)
-	fw := r.sub.node.fieldwireStats()
-	var dec fieldwire.Decoder
-	var scratch, msgBuf scratchBuf
-	badStreak := 0
-	for {
-		n, crc, err := fr.next()
-		if err != nil {
-			return
-		}
-		r.sub.noteResync(fr)
-		payload, ok, err := fr.payload(n)
-		if err != nil {
-			return
-		}
-		if !ok {
-			payload = scratch.take(n)
-			if err := fr.readFull(payload); err != nil {
-				return
-			}
-		}
-		if !fr.verify(payload, crc) {
-			r.sub.noteCorrupt()
-			continue
-		}
-		fullSize, perr := dec.Parse(payload, maxFrameSize)
-		if perr != nil {
-			r.sub.noteCorrupt()
-			if fw != nil {
-				fw.DecodeErrors.Inc()
-			}
-			badStreak++
-			if badStreak >= fieldsFallbackAfter {
-				sc.disableFields()
-				if fw != nil {
-					fw.MaskFallbacks.Inc()
-				}
-				return
-			}
-			continue
-		}
-		badStreak = 0
-		dst := msgBuf.take(fullSize)
-		if err := dec.Materialize(payload, dst); err != nil {
-			r.sub.noteCorrupt()
-			if fw != nil {
-				fw.DecodeErrors.Inc()
-			}
-			continue
-		}
-		st := r.sub.stats
-		var t0 time.Time
-		if st != nil {
-			t0 = time.Now()
-		}
-		r.cb(RawMessage{Frame: dst, Format: formatSFM, LittleEndian: little})
-		if st != nil {
-			st.Messages.Inc()
-			st.Bytes.Add(uint64(n))
-			st.Latency.Observe(time.Since(t0))
 		}
 	}
 }

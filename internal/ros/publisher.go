@@ -115,7 +115,7 @@ func Advertise[T any](n *Node, topic string, opts ...PubOption) (*Publisher[T], 
 		egressShards: cfg.egressShards,
 		stats:        n.metrics.Publisher(topic),
 		conns:        make(map[*pubConn]struct{}),
-		inproc:       make(map[inprocTarget]uint64),
+		inproc:       make(map[*sink]uint64),
 	}
 	if err := n.registerPub(topic, ep); err != nil {
 		return nil, err
@@ -247,12 +247,13 @@ func publishSFM[T any](ep *pubEndpoint, m *T) error {
 	}
 
 	// Legacy mode leaves items unstamped so the baseline write loop pays
-	// the old per-connection checksum. At fan-out 1 stamping is skipped
-	// too (unless the hash already exists): memoization saves nothing
-	// with one consumer, and computing the checksum here would serialise
-	// it with the publish loop instead of overlapping it with the next
-	// publish on the connection's writer goroutine.
-	stamp := !legacyEgress.Load() && (len(conns) > 1 || crcs.plainOK)
+	// the old per-connection checksum. With fewer than two stamp readers
+	// stamping is skipped too (unless the hash already exists):
+	// memoization saves nothing with one consumer, and computing the
+	// checksum here would serialise it with the publish loop instead of
+	// overlapping it with the next publish on the connection's writer
+	// goroutine.
+	stamp := !legacyEgress.Load() && (stampReaders(conns) > 1 || crcs.plainOK)
 	for _, c := range conns {
 		if c.shm != nil {
 			// Zero-copy path: the subscriber gets a 24-byte descriptor into
@@ -290,7 +291,7 @@ func publishSFM[T any](ep *pubEndpoint, m *T) error {
 			return fmt.Errorf("ros: publish %s: %w", ep.typeName, err)
 		}
 		it := frameItem{ref: &ref}
-		if stamp {
+		if stamp && c.mask == nil {
 			it.crc, it.crcOK = crcs.plain(ref.Bytes()), true
 		}
 		c.enqueue(it)
@@ -300,7 +301,7 @@ func publishSFM[T any](ep *pubEndpoint, m *T) error {
 			return fmt.Errorf("ros: publish %s: %w", ep.typeName, err)
 		}
 		mm := m // capture for the release closure
-		t.deliverShared(any(mm), func() { core.Release(mm) })
+		t.shared(any(mm), func() { core.Release(mm) })
 	}
 
 	if st := ep.stats; st != nil {
@@ -314,6 +315,19 @@ func publishSFM[T any](ep *pubEndpoint, m *T) error {
 		}
 	}
 	return nil
+}
+
+// stampReaders counts the connections whose writer reads a publish-time
+// checksum stamp. A field-masked connection's sparse writer checksums
+// its own ranges, so it neither reads a stamp nor justifies hashing one.
+func stampReaders(conns []*pubConn) int {
+	n := 0
+	for _, c := range conns {
+		if c.mask == nil {
+			n++
+		}
+	}
+	return n
 }
 
 // shmFallbackWarnAfter is how many per-message fallbacks a
@@ -343,16 +357,6 @@ func (ep *pubEndpoint) noteShmFallback(used int, outcome shmOutcome) {
 		log.Printf("ros: topic %q negotiated shared memory but %d message(s) fell back to inline TCP copies; see shm.fallbacks_by_reason in /metrics or `rostopic stats` for the cause",
 			ep.topic, n)
 	}
-}
-
-// inprocTarget is a same-process subscriber attachment.
-type inprocTarget interface {
-	// deliverShared hands over a shared serialization-free message; the
-	// target must call release exactly once when done.
-	deliverShared(m any, release func())
-	// deliverFrame hands over a serialized ROS1 frame. The frame must not
-	// be retained after return.
-	deliverFrame(frame []byte)
 }
 
 // frameItem is one outbound queue entry: a plain serialized frame, a
@@ -438,8 +442,8 @@ type pubEndpoint struct {
 	// giving exactly-once delivery of the newest message.
 	pubSeq  uint64
 	conns   map[*pubConn]struct{}
-	inproc  map[inprocTarget]uint64 // value: latchSeen sequence
-	pool    *egressShardPool        // non-nil once sharded fan-out engaged
+	inproc  map[*sink]uint64 // same-process subscriptions; value: latchSeen sequence
+	pool    *egressShardPool // non-nil once sharded fan-out engaged
 	latched *latchedMsg
 	closed  bool
 
@@ -474,7 +478,7 @@ type latchedMsg struct {
 // conns snapshot. A publish that races close loses: nothing is
 // snapshotted or enqueued, and the caller's uninstalled latch comes
 // back as prev so its hold is released.
-func (ep *pubEndpoint) snapshotForPublish(l *latchedMsg, mkShard func() (frameItem, bool)) (conns []*pubConn, targets []inprocTarget, prev *latchedMsg) {
+func (ep *pubEndpoint) snapshotForPublish(l *latchedMsg, mkShard func() (frameItem, bool)) (conns []*pubConn, targets []*sink, prev *latchedMsg) {
 	ep.mu.Lock()
 	if ep.closed {
 		ep.mu.Unlock()
@@ -487,7 +491,7 @@ func (ep *pubEndpoint) snapshotForPublish(l *latchedMsg, mkShard func() (frameIt
 		conns = append(conns, c)
 		c.latchSeen = seq
 	}
-	targets = make([]inprocTarget, 0, len(ep.inproc))
+	targets = make([]*sink, 0, len(ep.inproc))
 	for t := range ep.inproc {
 		targets = append(targets, t)
 		ep.inproc[t] = seq
@@ -534,7 +538,7 @@ func (ep *pubEndpoint) deliverLatchedTCP(pc *pubConn) {
 
 // deliverLatchedInproc hands the retained message to a new same-process
 // subscriber, with the same already-seen dedup as the TCP path.
-func (ep *pubEndpoint) deliverLatchedInproc(t inprocTarget) {
+func (ep *pubEndpoint) deliverLatchedInproc(t *sink) {
 	ep.mu.Lock()
 	l := ep.latched
 	seen, attached := ep.inproc[t]
@@ -546,13 +550,23 @@ func (ep *pubEndpoint) deliverLatchedInproc(t inprocTarget) {
 	ep.mu.Unlock()
 	if l.mkShared != nil {
 		if m, release, ok := l.mkShared(); ok {
-			t.deliverShared(m, release)
+			t.shared(m, release)
 		}
 		return
 	}
 	if l.frame != nil {
-		t.deliverFrame(l.frame)
+		t.deliverFrame(l.frame, ep.littleEndian())
 	}
+}
+
+// littleEndian reports the byte order this endpoint declares for its
+// frames: the process's own, unless a raw publisher declared the order
+// of the frames it replays.
+func (ep *pubEndpoint) littleEndian() bool {
+	if ep.endianName == "" {
+		return core.NativeLittleEndian()
+	}
+	return ep.endianName == endianLittle
 }
 
 func (ep *pubEndpoint) isClosed() bool {
@@ -609,12 +623,12 @@ func (ep *pubEndpoint) fanoutFrame(frame []byte, l *latchedMsg) {
 	if prev != nil && prev.drop != nil {
 		prev.drop()
 	}
-	// Stamping at fan-out 1 is skipped for the same pipelining reason as
-	// the SFM path, unless the hash already exists.
-	stamp := !legacyEgress.Load() && (len(conns) > 1 || crcs.plainOK)
+	// Stamping for a single reader is skipped for the same pipelining
+	// reason as the SFM path, unless the hash already exists.
+	stamp := !legacyEgress.Load() && (stampReaders(conns) > 1 || crcs.plainOK)
 	for _, c := range conns {
 		it := frameItem{data: frame}
-		if stamp {
+		if stamp && c.mask == nil {
 			if c.shm != nil {
 				it.crc, it.crcOK = crcs.inline(frame), true
 			} else {
@@ -623,8 +637,9 @@ func (ep *pubEndpoint) fanoutFrame(frame []byte, l *latchedMsg) {
 		}
 		c.enqueue(it)
 	}
+	little := ep.littleEndian()
 	for _, t := range targets {
-		t.deliverFrame(frame)
+		t.deliverFrame(frame, little)
 	}
 	if st := ep.stats; st != nil {
 		st.Messages.Inc()
@@ -656,16 +671,12 @@ func (ep *pubEndpoint) acceptConn(conn net.Conn, req map[string]string) error {
 		return fail(fmt.Sprintf("format mismatch on %q: publisher %s, subscriber %s",
 			ep.topic, wantFormat, req[hdrFormat]))
 	}
-	endian := ep.endianName
-	if endian == "" {
-		endian = nativeEndianName(core.NativeLittleEndian())
-	}
 	reply := map[string]string{
 		hdrType:     ep.typeName,
 		hdrMD5:      ep.md5,
 		hdrCallerID: ep.node.name,
 		hdrFormat:   wantFormat,
-		hdrEndian:   endian,
+		hdrEndian:   nativeEndianName(ep.littleEndian()),
 	}
 	shmFields, sender := ep.negotiateShm(req)
 	for k, v := range shmFields {
@@ -770,8 +781,8 @@ func latchItemFor(l *latchedMsg) (frameItem, bool) {
 
 // attachInproc adds a same-process subscriber. The subscriber's wire
 // regime must match the publisher's, as on the TCP path.
-func (ep *pubEndpoint) attachInproc(t inprocTarget) error {
-	if _, subSFM := t.(sfmMarker); subSFM != ep.sfm {
+func (ep *pubEndpoint) attachInproc(k *sink) error {
+	if k.sfm != ep.sfm {
 		return fmt.Errorf("%w: format mismatch on %q", ErrHandshake, ep.topic)
 	}
 	ep.mu.Lock()
@@ -779,14 +790,14 @@ func (ep *pubEndpoint) attachInproc(t inprocTarget) error {
 		ep.mu.Unlock()
 		return errors.New("ros: publisher closed")
 	}
-	ep.inproc[t] = 0
+	ep.inproc[k] = 0
 	ep.mu.Unlock()
-	ep.deliverLatchedInproc(t)
+	ep.deliverLatchedInproc(k)
 	return nil
 }
 
 // detachInproc removes a same-process subscriber.
-func (ep *pubEndpoint) detachInproc(t inprocTarget) {
+func (ep *pubEndpoint) detachInproc(t *sink) {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	delete(ep.inproc, t)
@@ -863,7 +874,7 @@ func (ep *pubEndpoint) close() {
 		conns = append(conns, c)
 	}
 	ep.conns = make(map[*pubConn]struct{})
-	ep.inproc = make(map[inprocTarget]uint64)
+	ep.inproc = make(map[*sink]uint64)
 	pool := ep.pool
 	latched := ep.latched
 	ep.latched = nil

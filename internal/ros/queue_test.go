@@ -169,7 +169,7 @@ func TestFrameSizeBounds(t *testing.T) {
 	defer server.Close()
 	errs := make(chan error, 1)
 	go func() {
-		_, _, err := newFrameReader(server).next()
+		_, _, err := newFrameReader(server).Next()
 		errs <- err
 	}()
 	// A well-formed header claiming a ~4 GiB payload — past every frame

@@ -1,10 +1,6 @@
 package ros
 
-import (
-	"errors"
-	"net"
-	"time"
-)
+import "errors"
 
 // RawMessage is one frame delivered to a raw subscriber, with the
 // publisher-declared wire regime.
@@ -39,6 +35,8 @@ func SubscribeRaw(n *Node, topic, typeName, md5 string, sfm bool,
 	s := &Subscriber{
 		node:      n,
 		topic:     topic,
+		typeName:  typeName,
+		md5:       md5,
 		retry:     cfg.retry.withDefaults(),
 		connState: cfg.connState,
 		noRelay:   cfg.noRelay,
@@ -47,12 +45,7 @@ func SubscribeRaw(n *Node, topic, typeName, md5 string, sfm bool,
 		conns:     make(map[string]*subConn),
 		inproc:    make(map[*pubEndpoint]struct{}),
 	}
-	rt := &rawRuntime{sub: s, cb: cb, typeName: typeName, md5: md5, sfm: sfm}
-	if sfm {
-		s.rt = &rawSFMRuntime{rawRuntime: rt}
-	} else {
-		s.rt = rt
-	}
+	s.sink = rawSink(s, sfm, cb)
 	if err := n.registerSub(s); err != nil {
 		return nil, err
 	}
@@ -96,7 +89,7 @@ func AdvertiseRaw(n *Node, topic, typeName, md5 string, sfm, littleEndian bool,
 		endianName:   nativeEndianName(littleEndian),
 		stats:        n.metrics.Publisher(topic),
 		conns:        make(map[*pubConn]struct{}),
-		inproc:       make(map[inprocTarget]uint64),
+		inproc:       make(map[*sink]uint64),
 	}
 	if err := n.registerPub(topic, ep); err != nil {
 		return nil, err
@@ -139,73 +132,3 @@ func (p *RawPublisher) PublishFrame(frame []byte) error {
 	p.ep.fanoutFrame(frame, l)
 	return nil
 }
-
-// rawRuntime pumps frames to the callback without decoding them.
-type rawRuntime struct {
-	sub      *Subscriber
-	cb       func(RawMessage)
-	typeName string
-	md5      string
-	sfm      bool
-}
-
-func (r *rawRuntime) topicMeta() (string, string) { return r.typeName, r.md5 }
-
-func (r *rawRuntime) runConn(conn net.Conn, pubHeader map[string]string) {
-	format := pubHeader[hdrFormat]
-	little := pubHeader[hdrEndian] != endianBig
-	fr := newFrameReader(conn)
-	defer r.sub.noteStreamDamage(fr)
-	var scratch scratchBuf
-	for {
-		n, crc, err := fr.next()
-		if err != nil {
-			return
-		}
-		r.sub.noteResync(fr)
-		// The callback runs synchronously, so frames can be handed out
-		// straight from the batch buffer (the scratch contract is already
-		// "valid during the callback").
-		buf, ok, err := fr.payload(n)
-		if err != nil {
-			return
-		}
-		if !ok {
-			buf = scratch.take(n)
-			if err := fr.readFull(buf); err != nil {
-				return
-			}
-		}
-		if !fr.verify(buf, crc) {
-			r.sub.noteCorrupt()
-			continue
-		}
-		st := r.sub.stats
-		var t0 time.Time
-		if st != nil {
-			t0 = time.Now()
-		}
-		r.cb(RawMessage{Frame: buf, Format: format, LittleEndian: little})
-		if st != nil {
-			st.Messages.Inc()
-			st.Bytes.Add(uint64(n))
-			st.Latency.Observe(time.Since(t0))
-		}
-	}
-}
-
-func (r *rawRuntime) deliverFrame(frame []byte) {
-	r.cb(RawMessage{Frame: frame, Format: formatROS1, LittleEndian: true})
-}
-
-func (r *rawRuntime) deliverShared(m any, release func()) {
-	// Raw subscriptions negotiate TCP only; guard the release contract.
-	defer release()
-}
-
-// rawSFMRuntime is rawRuntime tagged to negotiate the SFM regime.
-type rawSFMRuntime struct {
-	*rawRuntime
-}
-
-func (*rawSFMRuntime) sfmRuntimeMarker() {}

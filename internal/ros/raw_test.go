@@ -1,10 +1,12 @@
 package ros_test
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 
 	"rossf/internal/core"
+	"rossf/internal/obs"
 	"rossf/internal/ros"
 )
 
@@ -130,5 +132,59 @@ func TestTopicsInfoOverProtocol(t *testing.T) {
 	}
 	if _, ok := byName["intro/two"]; !ok {
 		t.Error("intro/two missing")
+	}
+}
+
+// TestSubscribeRawSFMAgainstShmPublisher: raw subscriptions are
+// TCP-only, so against a publisher with a shared-memory store the very
+// first handshake must connect over TCP — no shm offer the raw pump
+// cannot take, no retrying cycle, no fallback counted.
+func TestSubscribeRawSFMAgainstShmPublisher(t *testing.T) {
+	reg := obs.NewRegistry()
+	store := newShmStore(t, reg)
+	m := ros.NewLocalMaster()
+	pubNode := newNodeOpts(t, "pub", ros.WithMaster(m), ros.WithShmStore(store), ros.WithMetrics(reg))
+	subNode := newNodeOpts(t, "tool", ros.WithMaster(m), ros.WithMetrics(reg))
+
+	pub, err := ros.Advertise[testImageSF](pubNode, "raw/shm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := make(chan ros.ConnState, 8)
+	got := make(chan uint32, 8)
+	var img testImageSF
+	sub, err := ros.SubscribeRaw(subNode, "raw/shm", img.ROSMessageType(), img.ROSMD5Sum(), true,
+		func(rm ros.RawMessage) { got <- binary.NativeEndian.Uint32(rm.Frame) },
+		ros.WithConnState(func(_ string, s ros.ConnState) { states <- s }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	select {
+	case s := <-states:
+		if s != ros.ConnConnected {
+			t.Fatalf("first ConnState = %v, want connected", s)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("raw subscription never reported a link state")
+	}
+	eventually(t, "raw attach", func() bool { return pub.NumSubscribers() == 1 })
+
+	src, _ := core.NewWithCapacity[testImageSF](4096)
+	src.Height = 5
+	if err := pub.Publish(src); err != nil {
+		t.Fatal(err)
+	}
+	core.Release(src)
+	select {
+	case h := <-got:
+		if h != 5 {
+			t.Errorf("height = %d, want 5", h)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no raw SFM frame")
+	}
+	if n := reg.Snapshot().Shm.Fallbacks; n != 0 {
+		t.Errorf("shm.fallbacks = %d, want 0", n)
 	}
 }

@@ -248,25 +248,18 @@ func (ep *serviceEndpoint) serveCall(conn net.Conn, req map[string]string) error
 	}()
 
 	fr := newFrameReader(conn)
-	defer fr.release()
-	var scratch scratchBuf
+	defer fr.Release()
 	for {
-		n, crc, err := fr.next()
+		n, crc, err := fr.Next()
 		if err != nil {
 			return nil // client hung up
 		}
 		// Handlers consume the request before the next reader call
-		// (deserialize or copy-to-arena), so in-place batch slices are
-		// safe; oversized requests and the legacy path copy via scratch.
-		frame, ok, err := fr.payload(n)
+		// (deserialize or copy-to-arena), so the frame's in-place bytes
+		// are safe to hand over.
+		frame, err := fr.frame(n)
 		if err != nil {
 			return nil
-		}
-		if !ok {
-			frame = scratch.take(n)
-			if err := fr.readFull(frame); err != nil {
-				return nil
-			}
 		}
 		var respFrame []byte
 		var release func()
@@ -275,7 +268,7 @@ func (ep *serviceEndpoint) serveCall(conn net.Conn, req map[string]string) error
 		if ep.stats != nil {
 			t0 = time.Now()
 		}
-		if !fr.verify(frame, crc) {
+		if wire.Checksum(frame) != crc {
 			// The request arrived damaged; tell the caller rather than
 			// handing garbage to the handler. The connection stays up —
 			// the next header is re-validated by magic.
@@ -345,7 +338,6 @@ type ServiceClient[Req, Resp any] struct {
 	layout  *core.Layout // response layout for endian conversion (SFM)
 	little  bool         // server byte order
 	timeout time.Duration
-	scratch scratchBuf
 }
 
 // SetCallTimeout bounds each subsequent Call: the whole exchange
@@ -431,7 +423,7 @@ func NewServiceClient[Req, Resp any](n *Node, name string) (*ServiceClient[Req, 
 // ingress pool.
 func (c *ServiceClient[Req, Resp]) Close() error {
 	err := c.conn.Close()
-	c.fr.release()
+	c.fr.Release()
 	return err
 }
 
@@ -471,19 +463,19 @@ func (c *ServiceClient[Req, Resp]) Call(req *Req) (*Resp, error) {
 	// status+frame write is drained by one read wakeup instead of the
 	// old three ReadFull syscalls (status, header, body).
 	var status [1]byte
-	if err := c.fr.readFull(status[:]); err != nil {
+	if err := c.fr.ReadFull(status[:]); err != nil {
 		return nil, err
 	}
-	n, crc, err := c.fr.next()
+	n, crc, err := c.fr.Next()
 	if err != nil {
 		return nil, err
 	}
 	if status[0] == 0 {
 		msg := make([]byte, n)
-		if err := c.fr.readFull(msg); err != nil {
+		if err := c.fr.ReadFull(msg); err != nil {
 			return nil, err
 		}
-		if !c.fr.verify(msg, crc) {
+		if wire.Checksum(msg) != crc {
 			return nil, fmt.Errorf("ros: service %q reply: %w", c.name, wire.ErrCorruptFrame)
 		}
 		return nil, &ServiceError{Service: c.name, Msg: string(msg)}
@@ -491,14 +483,14 @@ func (c *ServiceClient[Req, Resp]) Call(req *Req) (*Resp, error) {
 
 	if c.sfm {
 		buf := core.Default().GetBuffer(n)
-		if err := c.fr.readFull(buf.Bytes()[:n]); err != nil {
+		if err := c.fr.ReadFull(buf.Bytes()[:n]); err != nil {
 			buf.Discard()
 			return nil, err
 		}
 		// Verify before endianness conversion mutates the bytes and
 		// before the buffer is adopted — a corrupt frame must never
 		// become a live message.
-		if !c.fr.verify(buf.Bytes()[:n], crc) {
+		if wire.Checksum(buf.Bytes()[:n]) != crc {
 			buf.Discard()
 			return nil, fmt.Errorf("ros: service %q reply: %w", c.name, wire.ErrCorruptFrame)
 		}
@@ -508,17 +500,11 @@ func (c *ServiceClient[Req, Resp]) Call(req *Req) (*Resp, error) {
 		}
 		return core.Adopt[Resp](buf, n)
 	}
-	frame, ok, err := c.fr.payload(n)
+	frame, err := c.fr.frame(n)
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
-		frame = c.scratch.take(n)
-		if err := c.fr.readFull(frame); err != nil {
-			return nil, err
-		}
-	}
-	if !c.fr.verify(frame, crc) {
+	if wire.Checksum(frame) != crc {
 		return nil, fmt.Errorf("ros: service %q reply: %w", c.name, wire.ErrCorruptFrame)
 	}
 	resp := new(Resp)

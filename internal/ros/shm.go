@@ -47,12 +47,6 @@ const (
 	tagDescriptor byte = 0x02
 )
 
-// shmRuntime marks a subscriber runtime able to pump a shm-negotiated
-// connection (only the SFM runtime is).
-type shmRuntime interface {
-	runConnShm(conn net.Conn, mp *shm.Mapper)
-}
-
 // shmSender is a pubConn's grant to publish into shared memory: the
 // node's store plus the peer lease (id and generation) the subscriber
 // holds.
@@ -208,98 +202,6 @@ func newShmReceiver(reply map[string]string, stats *obs.ShmStats) (*shm.Mapper, 
 		return nil, err
 	}
 	return m, nil
-}
-
-// runConnShm is the shm frame pump: tagged frames, descriptors resolved
-// through the mapper, inline fallbacks adopted exactly like the TCP
-// path. Endianness conversion is skipped by construction — negotiation
-// only picks shm for same-boot peers.
-func (r *sfmRuntime[T]) runConnShm(conn net.Conn, mp *shm.Mapper) {
-	fr := newTaggedFrameReader(conn)
-	defer r.sub.noteStreamDamage(fr)
-	for {
-		n, crc, err := fr.next()
-		if err != nil {
-			return
-		}
-		r.sub.noteResync(fr)
-		if n < 1 {
-			r.sub.noteCorrupt()
-			continue
-		}
-		var tag [1]byte
-		if err := fr.readFull(tag[:]); err != nil {
-			return
-		}
-		body := n - 1
-		switch tag[0] {
-		case tagDescriptor:
-			var db [shm.DescriptorSize]byte
-			if body != shm.DescriptorSize {
-				if fr.discard(body) != nil {
-					return
-				}
-				r.sub.noteCorrupt()
-				continue
-			}
-			if err := fr.readFull(db[:]); err != nil {
-				return
-			}
-			if wire.Checksum2(tag[:], db[:]) != crc {
-				r.sub.noteCorrupt()
-				continue
-			}
-			d, err := shm.ParseDescriptor(db[:])
-			if err != nil {
-				r.sub.noteCorrupt()
-				continue
-			}
-			mem, release, err := mp.Resolve(d)
-			if err != nil {
-				// A stale or unmappable descriptor drops this message only;
-				// the stream stays healthy.
-				if r.sub.stats != nil {
-					r.sub.stats.Stale.Inc()
-				}
-				continue
-			}
-			buf, err := r.mgr.NewExternalBuffer(mem, release)
-			if err != nil {
-				release()
-				continue
-			}
-			m, err := core.Adopt[T](buf, len(mem))
-			if err != nil {
-				buf.Discard()
-				continue
-			}
-			r.deliverAdopted(m, len(mem))
-		case tagInline:
-			buf := r.mgr.GetBuffer(body)
-			if err := fr.readFull(buf.Bytes()[:body]); err != nil {
-				buf.Discard()
-				return
-			}
-			if wire.Checksum2(tag[:], buf.Bytes()[:body]) != crc {
-				r.sub.noteCorrupt()
-				buf.Discard()
-				continue
-			}
-			m, err := core.Adopt[T](buf, body)
-			if err != nil {
-				buf.Discard()
-				continue
-			}
-			r.deliverAdopted(m, body)
-		default:
-			// Unknown tag from a future build: skip the frame, keep the
-			// stream.
-			if fr.discard(body) != nil {
-				return
-			}
-			r.sub.noteCorrupt()
-		}
-	}
 }
 
 // pidString is this process's pid for the handshake offer.

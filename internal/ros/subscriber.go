@@ -208,7 +208,9 @@ type Subscriber struct {
 	topic string
 
 	cancelWatch func()
-	rt          subRuntime
+	typeName    string
+	md5         string
+	sink        *sink          // the delivery half of every receive pump
 	queue       *dispatchQueue // nil = synchronous callbacks
 	retry       RetryPolicy
 	transport   TransportMode
@@ -242,16 +244,16 @@ func (s *Subscriber) CorruptFrames() uint64 { return s.corrupt.Load() }
 func (s *Subscriber) ResyncedBytes() uint64 { return s.resyncs.Load() }
 
 // noteStreamDamage folds a connection's still-unfolded resync bytes
-// into the subscription total when its frame pump exits (per-frame
-// folds via noteResync keep the counter live mid-stream), and returns
-// the pump's batch buffer to the ingress pool for the next connection.
+// into the subscription total when its pump exits (per-frame folds via
+// noteResync keep the counter live mid-stream), and returns the pump's
+// batch buffer to the ingress pool for the next connection.
 func (s *Subscriber) noteStreamDamage(fr *frameReader) {
 	s.noteResync(fr)
-	fr.release()
+	fr.Release()
 }
 
 // noteResync folds any bytes the reader skipped resynchronizing since
-// the last fold. Pumps call it after every frame — almost always a
+// the last fold. The pump calls it after every frame — almost always a
 // zero delta and no atomic touched — so introspection sees stream
 // damage while the connection is still alive.
 func (s *Subscriber) noteResync(fr *frameReader) {
@@ -374,15 +376,6 @@ func (s *Subscriber) dispatch(run, drop func()) {
 	s.queue.enqueue(dispatchItem{run: run, drop: drop})
 }
 
-// subRuntime is the type-specific receive machinery behind a
-// Subscriber.
-type subRuntime interface {
-	inprocTarget
-	// runConn consumes frames from an established publisher connection
-	// until it fails or is closed.
-	runConn(conn net.Conn, pubHeader map[string]string)
-}
-
 // Subscribe registers a callback for every message arriving on topic —
 // the analog of NodeHandle::subscribe. The message type decides the
 // regime:
@@ -410,6 +403,8 @@ func Subscribe[T any](n *Node, topic string, cb func(*T), opts ...SubOption) (*S
 	s := &Subscriber{
 		node:      n,
 		topic:     topic,
+		typeName:  typeName,
+		md5:       md5,
 		retry:     cfg.retry.withDefaults(),
 		transport: cfg.transport,
 		connState: cfg.connState,
@@ -428,13 +423,12 @@ func Subscribe[T any](n *Node, topic string, cb func(*T), opts ...SubOption) (*S
 		if err != nil {
 			return nil, fmt.Errorf("ros: subscribe %s: %w", typeName, err)
 		}
-		s.rt = &sfmRuntime[T]{sub: s, cb: cb, layout: layout, mgr: cfg.manager,
-			typeName: typeName, md5: md5}
+		s.sink = sfmSink(s, cb, cfg.manager, layout)
 	case isSerializableType[T]():
 		if len(cfg.fields) > 0 {
 			return nil, fmt.Errorf("ros: subscribe %s: WithFields requires a serialization-free message type", typeName)
 		}
-		s.rt = &ros1Runtime[T]{sub: s, cb: cb, typeName: typeName, md5: md5}
+		s.sink = ros1Sink(s, cb)
 	default:
 		return nil, fmt.Errorf("ros: type %T implements neither Serializable nor SFMessage", new(T))
 	}
@@ -531,14 +525,14 @@ func (s *Subscriber) onPublishers(pubs []PublisherInfo, mode TransportMode) {
 		if _, ok := s.inproc[ep]; ok {
 			continue
 		}
-		if err := ep.attachInproc(s.rt); err == nil {
+		if err := ep.attachInproc(s.sink); err == nil {
 			s.inproc[ep] = struct{}{}
 		}
 	}
 	// Detach vanished ones.
 	for ep := range s.inproc {
 		if !wantInproc[ep] {
-			ep.detachInproc(s.rt)
+			ep.detachInproc(s.sink)
 			delete(s.inproc, ep)
 		}
 	}
@@ -625,7 +619,9 @@ func (s *Subscriber) dialAndRun(addr string, sc *subConn) {
 
 // runOnce performs one dial + handshake + frame-pump cycle. connected
 // reports whether the handshake completed (resetting the backoff);
-// permanent reports a handshake rejection that no retry can cure.
+// permanent reports a handshake rejection that no retry can cure. The
+// publisher's reply picks the pump's decoder; the subscription fixes
+// its sink.
 func (s *Subscriber) runOnce(addr string, sc *subConn) (connected, permanent bool) {
 	conn, err := s.node.dial(addr)
 	if err != nil {
@@ -636,27 +632,26 @@ func (s *Subscriber) runOnce(addr string, sc *subConn) (connected, permanent boo
 		return false, false
 	}
 	defer conn.Close()
-	typeName, md5, _ := typeInfoOf0(s.rt)
+	k := s.sink
 	format := formatROS1
-	_, sfm := s.rt.(sfmMarker)
-	if sfm {
+	if k.sfm {
 		format = formatSFM
 	}
 	conn.SetDeadline(nowPlusHandshake())
 	fields := map[string]string{
 		hdrTopic:    s.topic,
-		hdrType:     typeName,
-		hdrMD5:      md5,
+		hdrType:     s.typeName,
+		hdrMD5:      s.md5,
 		hdrCallerID: s.node.name,
 		hdrFormat:   format,
 		hdrEndian:   nativeEndianName(core.NativeLittleEndian()),
 	}
-	if sfm && s.offersShm() && !sc.shmDisabled() {
+	if s.offersShm() && !sc.shmDisabled() {
 		fields[hdrTransports] = wire.TransportNameShm + "," + wire.TransportNameTCP
 		fields[hdrPID] = pidString()
 		fields[hdrBootID] = shm.BootID()
 	}
-	if sfm && len(s.fields) > 0 && !sc.fieldsDisabled() {
+	if k.sfm && len(s.fields) > 0 && !sc.fieldsDisabled() {
 		fields[hdrFields] = s.fieldsOffer()
 	}
 	if err := writeHeader(conn, fields); err != nil {
@@ -670,13 +665,14 @@ func (s *Subscriber) runOnce(addr string, sc *subConn) (connected, permanent boo
 		return false, true
 	}
 	conn.SetDeadline(zeroTime())
-	if reply[hdrTransport] == wire.TransportNameShm {
-		rt, okRT := s.rt.(shmRuntime)
+	p := &pump{sink: k, little: reply[hdrEndian] != endianBig}
+	switch {
+	case reply[hdrTransport] == wire.TransportNameShm:
 		var mp *shm.Mapper
-		if okRT {
-			mp, err = newShmReceiver(reply, s.node.shmStats())
+		if k.adoptsShm() {
+			mp, _ = newShmReceiver(reply, s.node.shmStats())
 		}
-		if !okRT || err != nil {
+		if mp == nil {
 			// The publisher selected shm but this side cannot stand it up
 			// (incompatible segment layout, mapping failure, malformed
 			// reply — all shapes of a protocol-revision mismatch): disable
@@ -689,35 +685,28 @@ func (s *Subscriber) runOnce(addr string, sc *subConn) (connected, permanent boo
 			}
 			return false, false
 		}
-		s.notifyState(addr, ConnConnected)
-		rt.runConnShm(conn, mp)
-		mp.Close()
-		return true, false
+		defer mp.Close()
+		p.dec, p.mp, p.fr = decodeTagged, mp, newTaggedFrameReader(conn)
+	case reply[hdrFieldwire] == fieldwireV1:
+		p.dec, p.sc, p.fw = decodeSparse, sc, s.node.fieldwireStats()
 	}
-	if reply[hdrFieldwire] == fieldwireV1 {
-		rt, okRT := s.rt.(sparseRuntime)
-		if !okRT {
-			// The publisher accepted a mask this runtime cannot decode —
-			// a protocol-revision mismatch. Redial mask-less.
-			sc.disableFields()
-			return false, false
-		}
-		s.notifyState(addr, ConnConnected)
-		rt.runConnSparse(conn, reply, sc)
-		return true, false
+	if p.fr == nil {
+		p.fr = newFrameReader(conn)
 	}
 	s.notifyState(addr, ConnConnected)
-	s.rt.runConn(conn, reply)
+	p.run()
 	return true, false
 }
 
 // offersShm reports whether this subscription advertises the shared-
-// memory transport when dialing: the mode must allow it, the platform
-// must support it, and the node must use the stock dialer — a custom
-// dialer (netsim links, tunnels) means the connection's address says
-// nothing about machine locality, so shm is never offered through one.
+// memory transport when dialing: the sink must be able to take shm
+// streams (raw and ROS1 subscriptions stay TCP-only), the mode must
+// allow it, the platform must support it, and the node must use the
+// stock dialer — a custom dialer (netsim links, tunnels) means the
+// connection's address says nothing about machine locality, so shm is
+// never offered through one.
 func (s *Subscriber) offersShm() bool {
-	if s.transport != TransportAuto && s.transport != TransportShm {
+	if !s.sink.adoptsShm() || (s.transport != TransportAuto && s.transport != TransportShm) {
 		return false
 	}
 	return shm.Available() && !s.node.customDial
@@ -748,7 +737,7 @@ func (s *Subscriber) Close() {
 		s.cancelWatch()
 	}
 	for _, ep := range inproc {
-		ep.detachInproc(s.rt)
+		ep.detachInproc(s.sink)
 	}
 	for _, c := range conns {
 		c.close()
@@ -847,229 +836,4 @@ func (c *subConn) close() {
 	if c.conn != nil {
 		c.conn.Close()
 	}
-}
-
-// sfmMarker tags the SFM runtime for format negotiation.
-type sfmMarker interface{ sfmRuntimeMarker() }
-
-// typeInfoOf0 recovers topic metadata from a runtime.
-func typeInfoOf0(rt subRuntime) (typeName, md5 string, ok bool) {
-	type meta interface{ topicMeta() (string, string) }
-	if m, isMeta := rt.(meta); isMeta {
-		t, s := m.topicMeta()
-		return t, s, true
-	}
-	return "", "", false
-}
-
-// ros1Runtime receives regular serialized messages.
-type ros1Runtime[T any] struct {
-	sub      *Subscriber
-	cb       func(*T)
-	typeName string
-	md5      string
-}
-
-func (r *ros1Runtime[T]) topicMeta() (string, string) { return r.typeName, r.md5 }
-
-func (r *ros1Runtime[T]) runConn(conn net.Conn, _ map[string]string) {
-	fr := newFrameReader(conn)
-	defer r.sub.noteStreamDamage(fr)
-	var scratch scratchBuf
-	for {
-		n, crc, err := fr.next()
-		if err != nil {
-			return
-		}
-		r.sub.noteResync(fr)
-		// Fast path: the frame is already in the batch buffer — deserialize
-		// straight out of it (deliverFrame consumes the bytes before the
-		// next reader call). Oversized frames and the legacy path fall back
-		// to the scratch copy.
-		buf, ok, err := fr.payload(n)
-		if err != nil {
-			return
-		}
-		if !ok {
-			buf = scratch.take(n)
-			if err := fr.readFull(buf); err != nil {
-				return
-			}
-		}
-		if !fr.verify(buf, crc) {
-			r.sub.noteCorrupt()
-			continue // corrupted in transit: reject, resync, never deliver
-		}
-		r.deliverFrame(buf)
-	}
-}
-
-func (r *ros1Runtime[T]) deliverFrame(frame []byte) {
-	m := new(T)
-	sz, ok := any(m).(Serializable)
-	if !ok {
-		return
-	}
-	rd := wire.NewReader(frame)
-	if err := sz.DeserializeROS(rd); err != nil {
-		return // a malformed frame is dropped, as roscpp does
-	}
-	st := r.sub.stats
-	var t0 time.Time
-	if st != nil {
-		t0 = time.Now()
-	}
-	sz0 := len(frame)
-	r.sub.dispatch(
-		func() {
-			r.cb(m)
-			if st != nil {
-				st.Messages.Inc()
-				st.Bytes.Add(uint64(sz0))
-				st.Latency.Observe(time.Since(t0))
-			}
-		},
-		func() {
-			if st != nil {
-				st.Drops.Inc()
-			}
-		})
-}
-
-func (r *ros1Runtime[T]) deliverShared(m any, release func()) {
-	// A regular subscriber never negotiates a shared SFM message; guard
-	// anyway to keep release-exactly-once.
-	defer release()
-}
-
-// sfmRuntime receives serialization-free messages: frames are adopted as
-// live messages with zero transformation.
-type sfmRuntime[T any] struct {
-	sub      *Subscriber
-	cb       func(*T)
-	layout   *core.Layout
-	mgr      *core.Manager
-	typeName string
-	md5      string
-}
-
-func (r *sfmRuntime[T]) sfmRuntimeMarker()           {}
-func (r *sfmRuntime[T]) topicMeta() (string, string) { return r.typeName, r.md5 }
-
-func (r *sfmRuntime[T]) runConn(conn net.Conn, pubHeader map[string]string) {
-	srcLittle := pubHeader[hdrEndian] != endianBig
-	fr := newFrameReader(conn)
-	defer r.sub.noteStreamDamage(fr)
-	for {
-		n, crc, err := fr.next()
-		if err != nil {
-			return
-		}
-		r.sub.noteResync(fr)
-		buf := r.mgr.GetBuffer(n)
-		// The payload lands in the arena: readFull copies any batched
-		// prefix and streams the remainder straight into the arena buffer.
-		if err := fr.readFull(buf.Bytes()[:n]); err != nil {
-			buf.Discard()
-			return
-		}
-		// The checksum runs before the bytes are adopted as a live
-		// message: a corrupted arena image must never reach a callback.
-		if !fr.verify(buf.Bytes()[:n], crc) {
-			r.sub.noteCorrupt()
-			buf.Discard()
-			continue
-		}
-		// §4.4.1: the message arrives in the publisher's byte order; the
-		// subscriber converts only on mismatch.
-		if err := core.ConvertEndianness(buf.Bytes()[:n], r.layout, srcLittle); err != nil {
-			buf.Discard()
-			return
-		}
-		m, err := core.Adopt[T](buf, n)
-		if err != nil {
-			buf.Discard()
-			continue
-		}
-		r.deliverAdopted(m, n)
-	}
-}
-
-// deliverAdopted dispatches an adopted message to the callback with the
-// release-exactly-once and instrumentation discipline shared by every
-// receive path: TCP frames, shm descriptors, and inline shm fallbacks.
-func (r *sfmRuntime[T]) deliverAdopted(m *T, sz int) {
-	st := r.sub.stats
-	var t0 time.Time
-	if st != nil {
-		t0 = time.Now()
-	}
-	r.sub.dispatch(
-		func() {
-			r.cb(m)
-			core.Release(m)
-			if st != nil {
-				st.Messages.Inc()
-				st.Bytes.Add(uint64(sz))
-				st.Latency.Observe(time.Since(t0))
-			}
-		},
-		func() {
-			core.Release(m)
-			if st != nil {
-				st.Drops.Inc()
-			}
-		},
-	)
-}
-
-func (r *sfmRuntime[T]) deliverShared(m any, release func()) {
-	t, ok := m.(*T)
-	if !ok {
-		release()
-		return
-	}
-	// t0 is captured only when instruments exist, so the uninstrumented
-	// intra-process hand-over takes no timestamp and records nothing —
-	// this path is the SFM publish fast path whose allocation count the
-	// zero-overhead test pins.
-	st := r.sub.stats
-	var t0 time.Time
-	if st != nil {
-		t0 = time.Now()
-	}
-	r.sub.dispatch(
-		func() {
-			r.cb(t)
-			if st != nil {
-				st.Messages.Inc()
-				if n, err := core.UsedSize(t); err == nil {
-					st.Bytes.Add(uint64(n))
-				}
-			}
-			release()
-			if st != nil {
-				st.Latency.Observe(time.Since(t0))
-			}
-		},
-		func() {
-			release()
-			if st != nil {
-				st.Drops.Inc()
-			}
-		},
-	)
-}
-
-func (r *sfmRuntime[T]) deliverFrame(frame []byte) {
-	// An SFM subscriber attached to a regular publisher is prevented at
-	// negotiation time; adopt defensively if it ever happens.
-	buf := r.mgr.GetBuffer(len(frame))
-	copy(buf.Bytes(), frame)
-	m, err := core.Adopt[T](buf, len(frame))
-	if err != nil {
-		buf.Discard()
-		return
-	}
-	r.deliverAdopted(m, len(frame))
 }
