@@ -3,15 +3,20 @@ package ros
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
+	"os"
+	"strconv"
+	"sync"
 	"testing"
 	"time"
 
 	"rossf/internal/core"
 	"rossf/internal/fieldwire"
 	"rossf/internal/obs"
+	"rossf/internal/shm"
 	"rossf/internal/wire"
 )
 
@@ -420,4 +425,490 @@ func TestHeaderSizeBoundary(t *testing.T) {
 		c2.Close()
 		s2.Close()
 	}
+}
+
+// sendCapture is the subscriber end of one publisher connection in the
+// send matrix: it reads the handshake reply (when the connection has
+// one), then records every stream byte. With hold set it stops after
+// the first stream byte until hold closes, pinning the send loop inside
+// that write so the test can queue the next run behind it.
+type sendCapture struct {
+	mu    sync.Mutex
+	buf   bytes.Buffer
+	want  int
+	first chan struct{} // closed once the first stream byte arrived
+	full  chan struct{} // closed once want bytes arrived
+	done  chan struct{} // closed when the connection ends
+}
+
+func captureSend(cli net.Conn, header bool, hold <-chan struct{}, want int) *sendCapture {
+	c := &sendCapture{want: want, first: make(chan struct{}),
+		full: make(chan struct{}), done: make(chan struct{})}
+	go func() {
+		defer close(c.done)
+		if header {
+			if _, err := readHeader(cli); err != nil {
+				return
+			}
+		}
+		b := make([]byte, 64<<10)
+		if _, err := io.ReadFull(cli, b[:1]); err != nil {
+			return
+		}
+		c.add(b[:1])
+		close(c.first)
+		if hold != nil {
+			<-hold
+		}
+		for {
+			n, err := cli.Read(b)
+			c.add(b[:n])
+			if err != nil {
+				return
+			}
+		}
+	}()
+	return c
+}
+
+func (c *sendCapture) add(p []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	before := c.buf.Len()
+	c.buf.Write(p)
+	if before < c.want && c.buf.Len() >= c.want {
+		close(c.full)
+	}
+}
+
+func (c *sendCapture) bytes() []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]byte(nil), c.buf.Bytes()...)
+}
+
+func waitClosed(t *testing.T, ch <-chan struct{}, what string) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+	}
+}
+
+// readerConn serves a captured stream to the receive pump.
+type readerConn struct {
+	stubConn
+	r io.Reader
+}
+
+func (c readerConn) Read(p []byte) (int, error) { return c.r.Read(p) }
+
+// pumpImages decodes a captured send stream through the receive pump
+// with a recording sink and returns the delivered images. Tagged
+// streams need an arena sink (and a mapper for descriptors).
+func pumpImages(t *testing.T, stream []byte, dec frameDecoder, mp *shm.Mapper) [][]byte {
+	t.Helper()
+	var imgs [][]byte
+	k := &sink{sub: &Subscriber{}, deliver: func(img image, _ bool) error {
+		imgs = append(imgs, append([]byte(nil), img.p...))
+		img.discard()
+		return nil
+	}}
+	conn := readerConn{r: bytes.NewReader(stream)}
+	p := &pump{fr: newFrameReader(conn), dec: dec, sink: k,
+		little: core.NativeLittleEndian(), mp: mp}
+	if dec == decodeTagged {
+		k.mgr = core.NewManager()
+		p.fr = newTaggedFrameReader(conn)
+	}
+	if err := p.run(); err != io.EOF {
+		t.Fatalf("pump ended with %v, want EOF", err)
+	}
+	if n := k.sub.CorruptFrames(); n != 0 {
+		t.Errorf("pump counted %d corrupt frames in a healthy send stream", n)
+	}
+	if n := k.sub.ResyncedBytes(); n != 0 {
+		t.Errorf("pump resynced %d bytes of a healthy send stream", n)
+	}
+	return imgs
+}
+
+// egressCounts is the part of EgressStats the send matrix pins.
+type egressCounts struct {
+	Writes, Frames, Coalesced uint64
+	FPWCount                  uint64
+	FPWMax                    int64
+	BPWMax                    int64
+}
+
+func egressCountsOf(st *obs.EgressStats) egressCounts {
+	fpw, bpw := st.FramesPerWrite.Stats(), st.BytesPerWrite.Stats()
+	return egressCounts{st.Writes.Load(), st.Frames.Load(), st.Coalesced.Load(),
+		fpw.Count, fpw.Max, bpw.Max}
+}
+
+// sparseRef is the reference sparse encoding of payload p under mask:
+// the wire frame and the image the receiver materializes from it.
+func sparseRef(t *testing.T, mask *fieldwire.Mask, p []byte) (frame, image []byte, sparse bool) {
+	t.Helper()
+	rs, err := mask.AppendRanges(nil, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := fieldwire.AppendTable(nil, len(p), rs, p)
+	image = make([]byte, len(p))
+	for _, r := range rs {
+		body = append(body, p[r.Off:r.End()]...)
+		copy(image[r.Off:r.End()], p[r.Off:r.End()])
+	}
+	if len(body) >= len(p) {
+		body = append(fieldwire.AppendFullTable(nil, len(p)), p...)
+		return pumpFrame(nil, body, false), p, false
+	}
+	return pumpFrame(nil, body, false), image, true
+}
+
+// TestSendMatrix is the send-side counterpart of TestReceivePumpMatrix:
+// every encoder × target pair writes through net.Pipe, and the captured
+// bytes must equal an independently built reference stream, decode
+// through the receive pump into exactly the payloads sent, and leave
+// the expected EgressStats behind.
+//
+// Dedicated connections (one write loop per connection) are driven
+// with items queued before the loop starts, so each pair is one batch:
+// plain, tagged inline, tagged descriptor, sparse. Shard targets are
+// driven through a raw publisher with a one-shard pool: broadcast runs,
+// a migrated member that receives only the suffix of a run, and the
+// targeted latch delivery to a late joiner.
+func TestSendMatrix(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	payload := func(n int) []byte {
+		p := make([]byte, n)
+		rng.Read(p)
+		return p
+	}
+
+	type dedicatedCase struct {
+		name   string
+		items  []frameItem
+		dec    frameDecoder
+		shm    *shmSender
+		mask   *fieldwire.Mask
+		mp     *shm.Mapper
+		stream []byte   // reference wire stream
+		images [][]byte // what the pump must deliver
+		counts egressCounts
+		sparse uint64 // field-wire sparse frames expected
+		fulls  uint64 // field-wire full-fallback frames expected
+	}
+	var cases []dedicatedCase
+
+	// Plain: coalesced and vectored frames, stamped and unstamped.
+	{
+		c := dedicatedCase{name: "plain", dec: decodePlain}
+		for i, n := range []int{10, 6000, 0, 4096, 4097, 300} {
+			p := payload(n)
+			it := frameItem{data: p}
+			if i%2 == 1 {
+				it.crc, it.crcOK = wire.Checksum(p), true
+			}
+			c.items = append(c.items, it)
+			c.stream = append(c.stream, pumpFrame(nil, p, false)...)
+			c.images = append(c.images, p)
+			if n <= coalesceThreshold {
+				c.counts.Coalesced++
+			}
+		}
+		cases = append(cases, c)
+	}
+	// Tagged inline: an explicit and a defaulted inline tag, both sizes.
+	{
+		c := dedicatedCase{name: "tagged-inline", dec: decodeTagged, shm: &shmSender{}}
+		for i, n := range []int{64, 9000, 2000} {
+			p := payload(n)
+			it := frameItem{data: p}
+			if i != 1 {
+				it.tag = tagInline
+			}
+			if i == 2 {
+				tag := [1]byte{tagInline}
+				it.crc, it.crcOK = wire.Checksum2(tag[:], p), true
+			}
+			c.items = append(c.items, it)
+			c.stream = append(c.stream, pumpFrame([]byte{tagInline}, p, false)...)
+			c.images = append(c.images, p)
+			if n <= coalesceThreshold {
+				c.counts.Coalesced++
+			}
+		}
+		cases = append(cases, c)
+	}
+	// Tagged descriptor: real descriptors into a shared store, resolved
+	// by the pump through a mapper.
+	if shm.Available() {
+		store, err := shm.NewStore(shm.Options{Dir: t.TempDir()})
+		if err != nil {
+			t.Fatalf("NewStore: %v", err)
+		}
+		t.Cleanup(func() { store.Close() })
+		mgr := core.NewManager()
+		mgr.SetBackingStore(store)
+		peer, gen, err := store.AcquirePeer(uint32(os.Getpid()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { store.RetirePeer(peer) })
+		mp, err := newShmReceiver(map[string]string{
+			hdrShmPrefix:  store.Prefix(),
+			hdrShmPeer:    strconv.Itoa(peer),
+			hdrShmLeaseMS: strconv.FormatInt(store.LeaseTimeout().Milliseconds(), 10),
+			hdrShmGen:     strconv.FormatUint(uint64(gen), 10),
+		}, nil)
+		if err != nil {
+			t.Fatalf("mapper: %v", err)
+		}
+		t.Cleanup(mp.Close)
+		c := dedicatedCase{name: "tagged-descriptor", dec: decodeTagged,
+			shm: &shmSender{store: store, peer: peer, gen: gen}, mp: mp}
+		for i := 0; i < 3; i++ {
+			m, err := core.NewIn[endianMsg](mgr, 4096)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Height, m.Width = uint32(i+1), 9
+			t.Cleanup(func() { core.Release(m) })
+			image, _ := core.Bytes(m)
+			h, used, _, ok := core.PromoteShared(m, store)
+			if !ok {
+				t.Fatal("message not in a shared slot")
+			}
+			d, err := store.Share(h, peer, gen, used)
+			if err != nil {
+				t.Fatal(err)
+			}
+			desc := d.AppendTo(nil)
+			it := frameItem{data: desc, tag: tagDescriptor}
+			if i == 0 {
+				tag := [1]byte{tagDescriptor}
+				it.crc, it.crcOK = wire.Checksum2(tag[:], desc), true
+			}
+			c.items = append(c.items, it)
+			c.stream = append(c.stream, pumpFrame([]byte{tagDescriptor}, desc, false)...)
+			c.images = append(c.images, append([]byte(nil), image...))
+			c.counts.Coalesced++
+		}
+		cases = append(cases, c)
+	} else {
+		t.Log("tagged-descriptor pair skipped: shared-memory transport unavailable")
+	}
+	// Sparse: a mask over the first 8 bytes; large payloads ship sparse,
+	// a payload the table would not shrink ships whole.
+	{
+		wm := &fieldwire.Map{Type: "test_msgs/Endian", Size: 24, Fields: []fieldwire.Node{
+			{ID: 1, Name: "height", Off: 0, Len: 4, Kind: fieldwire.KScalar},
+			{ID: 2, Name: "width", Off: 4, Len: 4, Kind: fieldwire.KScalar},
+		}}
+		mask, err := wm.Resolve([]string{"height", "width"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := dedicatedCase{name: "sparse", dec: decodeSparse, mask: mask}
+		for _, n := range []int{5000, 16, 200} {
+			p := payload(n)
+			frame, image, sparse := sparseRef(t, mask, p)
+			c.items = append(c.items, frameItem{data: p})
+			c.stream = append(c.stream, frame...)
+			c.images = append(c.images, image)
+			if sparse {
+				c.sparse++
+			} else {
+				c.fulls++
+			}
+		}
+		if c.sparse == 0 || c.fulls == 0 {
+			t.Fatalf("sparse pair must mix sparse (%d) and full (%d) frames", c.sparse, c.fulls)
+		}
+		cases = append(cases, c)
+	}
+
+	for _, c := range cases {
+		t.Run("dedicated/"+c.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			srv, cli := net.Pipe()
+			defer cli.Close()
+			pc := &pubConn{
+				conn:   srv,
+				egress: reg.Egress(),
+				fw:     reg.Fieldwire(),
+				shm:    c.shm,
+				mask:   c.mask,
+				ch:     make(chan frameItem, len(c.items)),
+				stop:   make(chan struct{}),
+			}
+			for _, it := range c.items {
+				pc.ch <- it
+			}
+			capt := captureSend(cli, false, nil, len(c.stream))
+			loopDone := make(chan struct{})
+			go func() {
+				defer close(loopDone)
+				pc.writeLoop()
+			}()
+			waitClosed(t, capt.full, "the send stream")
+			close(pc.stop)
+			waitClosed(t, loopDone, "the write loop to exit")
+			srv.Close()
+			waitClosed(t, capt.done, "the capture to end")
+
+			got := capt.bytes()
+			if !bytes.Equal(got, c.stream) {
+				t.Fatalf("wire stream differs from the reference encoding (%d vs %d bytes)", len(got), len(c.stream))
+			}
+			imgs := pumpImages(t, got, c.dec, c.mp)
+			if len(imgs) != len(c.images) {
+				t.Fatalf("pump delivered %d images, want %d", len(imgs), len(c.images))
+			}
+			for i := range imgs {
+				if !bytes.Equal(imgs[i], c.images[i]) {
+					t.Fatalf("image %d differs from the payload sent", i)
+				}
+			}
+			want := c.counts
+			want.Writes, want.Frames, want.FPWCount = 1, uint64(len(c.items)), 1
+			want.FPWMax, want.BPWMax = int64(len(c.items)), int64(len(c.stream))
+			if got := egressCountsOf(reg.Egress()); got != want {
+				t.Errorf("egress counts = %+v, want %+v", got, want)
+			}
+			fw := reg.Fieldwire()
+			if s, f := fw.SparseFrames.Load(), fw.FullFrames.Load(); s != c.sparse || f != c.fulls {
+				t.Errorf("field-wire frames sparse=%d full=%d, want %d/%d", s, f, c.sparse, c.fulls)
+			}
+		})
+	}
+
+	// Shard targets. Frame sizes mix a coalesced run with a vectored
+	// frame so a suffix can start inside a coalesced run.
+	frames := [][]byte{payload(100), payload(200), payload(300), payload(6000)}
+	plainRef := func(fs ...[]byte) []byte {
+		var s []byte
+		for _, f := range fs {
+			s = append(s, pumpFrame(nil, f, false)...)
+		}
+		return s
+	}
+	type member struct {
+		capt   *sendCapture
+		frames [][]byte
+	}
+	// shardRig advertises a raw SFM topic with a one-shard pool on an
+	// instrumented node and attaches subscriber connections by hand.
+	type shardRig struct {
+		reg *obs.Registry
+		rp  *RawPublisher
+	}
+	newRig := func(t *testing.T, opts ...PubOption) *shardRig {
+		reg := obs.NewRegistry()
+		node, err := NewNode("send_matrix", WithMaster(NewLocalMaster()), WithMetrics(reg), WithoutListener())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { node.Close() })
+		rp, err := AdvertiseRaw(node, "send/matrix", "test_msgs/Endian", "aaaabbbbccccdddd0000111122223333",
+			true, core.NativeLittleEndian(), append(opts, WithEgressShards(1))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &shardRig{reg: reg, rp: rp}
+	}
+	attach := func(t *testing.T, r *shardRig, hold <-chan struct{}, frames ...[]byte) *member {
+		srv, cli := net.Pipe()
+		t.Cleanup(func() { cli.Close() })
+		m := &member{capt: captureSend(cli, true, hold, len(plainRef(frames...))), frames: frames}
+		req := map[string]string{hdrType: "test_msgs/Endian", hdrMD5: "aaaabbbbccccdddd0000111122223333",
+			hdrCallerID: "matrix_sub", hdrFormat: formatSFM}
+		if err := r.rp.ep.acceptConn(srv, req); err != nil {
+			t.Fatalf("acceptConn: %v", err)
+		}
+		return m
+	}
+	publish := func(t *testing.T, r *shardRig, fs ...[]byte) {
+		for _, f := range fs {
+			if err := r.rp.PublishFrame(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(t *testing.T, r *shardRig, want egressCounts, members ...*member) {
+		for i, m := range members {
+			waitClosed(t, m.capt.full, fmt.Sprintf("member %d's stream", i))
+		}
+		r.rp.Close()
+		for i, m := range members {
+			waitClosed(t, m.capt.done, fmt.Sprintf("member %d's connection to close", i))
+			got := m.capt.bytes()
+			if ref := plainRef(m.frames...); !bytes.Equal(got, ref) {
+				t.Fatalf("member %d: wire stream differs from the reference encoding (%d vs %d bytes)",
+					i, len(got), len(ref))
+			}
+			imgs := pumpImages(t, got, decodePlain, nil)
+			if len(imgs) != len(m.frames) {
+				t.Fatalf("member %d: pump delivered %d frames, want %d", i, len(imgs), len(m.frames))
+			}
+			for j := range imgs {
+				if !bytes.Equal(imgs[j], m.frames[j]) {
+					t.Fatalf("member %d: frame %d differs", i, j)
+				}
+			}
+		}
+		if got := egressCountsOf(r.reg.Egress()); got != want {
+			t.Errorf("egress counts = %+v, want %+v", got, want)
+		}
+	}
+
+	t.Run("shard/broadcast", func(t *testing.T) {
+		r := newRig(t)
+		hold := make(chan struct{})
+		a := attach(t, r, hold, frames...)
+		b := attach(t, r, nil, frames...)
+		publish(t, r, frames[0])
+		waitClosed(t, a.capt.first, "the first run's write")
+		publish(t, r, frames[1:]...)
+		close(hold)
+		// Two runs ({f0}, {f1 f2 f3}) to two members.
+		check(t, r, egressCounts{Writes: 4, Frames: 8, Coalesced: 6,
+			FPWCount: 4, FPWMax: 3, BPWMax: int64(len(plainRef(frames[1:]...)))}, a, b)
+	})
+
+	t.Run("shard/migrated-suffix", func(t *testing.T) {
+		r := newRig(t)
+		hold := make(chan struct{})
+		x := attach(t, r, hold, frames[0], frames[2], frames[3])
+		a := attach(t, r, nil, frames...)
+		publish(t, r, frames[0])
+		waitClosed(t, x.capt.first, "the first run's write")
+		publish(t, r, frames[1:]...)
+		// x migrated in from a shard that already wrote it sequence 2:
+		// of the pending run {2 3 4} it must receive only {3 4}.
+		s := r.rp.ep.pool.shards[0]
+		s.mu.Lock()
+		xc := s.members[0]
+		s.mu.Unlock()
+		xc.lastSeq = 2
+		close(hold)
+		check(t, r, egressCounts{Writes: 4, Frames: 7, Coalesced: 5,
+			FPWCount: 4, FPWMax: 3, BPWMax: int64(len(plainRef(frames[1:]...)))}, x, a)
+	})
+
+	t.Run("shard/targeted-latch", func(t *testing.T) {
+		r := newRig(t, WithLatch())
+		latch, next := frames[3], frames[0]
+		a := attach(t, r, nil, latch, next)
+		publish(t, r, latch)
+		waitClosed(t, a.capt.first, "the latched publish")
+		late := attach(t, r, nil, latch, next)
+		publish(t, r, next)
+		check(t, r, egressCounts{Writes: 4, Frames: 4, Coalesced: 2,
+			FPWCount: 4, FPWMax: 1, BPWMax: int64(len(plainRef(latch)))}, a, late)
+	})
 }
