@@ -55,9 +55,10 @@ bench:
 bench-ipc:
 	$(GO) run ./cmd/rossf-bench ipc -out BENCH_ipc.json
 
-# Streaming TCP fan-out throughput, batched egress vs the legacy
-# per-frame path (the baseline is measured in the same binary via
-# ros.SetLegacyEgress and recorded in the JSON) -> BENCH_egress.json.
+# Streaming TCP fan-out throughput, the batched send loop vs a frozen
+# per-frame reference publisher (referencePublisher in
+# internal/bench/egress.go, measured in the same binary and named in
+# the JSON) -> BENCH_egress.json.
 bench-egress:
 	$(GO) run ./cmd/rossf-bench egress -out BENCH_egress.json
 

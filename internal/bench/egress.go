@@ -1,26 +1,31 @@
 package bench
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
+	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"rossf/internal/core"
 	"rossf/internal/obs"
 	"rossf/internal/ros"
+	"rossf/internal/wire"
 	"rossf/msgs/sensor_msgs"
 )
 
 // EgressConfig parameterizes the TCP fan-out throughput matrix: one
 // publisher streaming to N loopback-TCP subscribers as fast as a credit
 // window allows. Unlike the lockstep IPC benchmark, the publisher keeps
-// a backlog in flight, so the write loop sees queued frames and the
+// a backlog in flight, so the send loop sees queued frames and the
 // batched egress path actually engages. Every cell is measured twice —
-// once through the legacy per-frame path (ros.SetLegacyEgress) and once
-// through the vectored batch path — so the result carries its own
+// once against the frozen per-frame reference publisher below and once
+// through the library's send loop — so the result carries its own
 // baseline.
 type EgressConfig struct {
 	Sizes    []int // payload sizes in bytes
@@ -70,8 +75,8 @@ func (c *EgressConfig) messagesFor(size int) int {
 }
 
 // EgressRow is one (size, fanout) cell. Baseline numbers come from the
-// legacy per-frame egress path (two writes per frame, CRC recomputed
-// per connection) run in the same binary immediately before the batched
+// frozen reference publisher (two writes per frame, CRC recomputed per
+// connection) run in the same binary immediately before the batched
 // measurement.
 type EgressRow struct {
 	SizeBytes        int     `json:"size_bytes"`
@@ -120,7 +125,7 @@ func (r *EgressResult) Format() string {
 func RunEgress(cfg EgressConfig) (*EgressResult, error) {
 	cfg.fillDefaults()
 	res := &EgressResult{
-		Baseline: "legacy per-frame egress: two writes per frame, CRC recomputed per connection (ros.SetLegacyEgress)",
+		Baseline: "frozen per-frame reference publisher: one goroutine and queue per connection, CRC recomputed per connection, header and payload as two writes (referencePublisher)",
 	}
 	for _, size := range cfg.Sizes {
 		for _, fanout := range cfg.Fanouts {
@@ -135,7 +140,7 @@ func RunEgress(cfg EgressConfig) (*EgressResult, error) {
 }
 
 // runEgressCell measures one (size, fanout) cell in both modes,
-// interleaving repeats (legacy, batched, legacy, ...) so slow drift in
+// interleaving repeats (reference, batched, reference, ...) so slow drift in
 // machine load hits both modes evenly, and keeping the best run of
 // each.
 func runEgressCell(size, fanout int, cfg EgressConfig) (EgressRow, error) {
@@ -144,12 +149,12 @@ func runEgressCell(size, fanout int, cfg EgressConfig) (EgressRow, error) {
 		BaselineNsPerMsg: math.Inf(1), BatchedNsPerMsg: math.Inf(1)}
 	before := cfg.Registry.Snapshot().Egress
 	for rep := 0; rep < cfg.Repeats; rep++ {
-		for _, legacy := range []bool{true, false} {
-			ns, err := runEgressOnce(size, fanout, n, legacy, cfg)
+		for _, reference := range []bool{true, false} {
+			ns, err := runEgressOnce(size, fanout, n, reference, cfg)
 			if err != nil {
 				return row, err
 			}
-			if legacy {
+			if reference {
 				row.BaselineNsPerMsg = math.Min(row.BaselineNsPerMsg, ns)
 			} else {
 				row.BatchedNsPerMsg = math.Min(row.BatchedNsPerMsg, ns)
@@ -178,12 +183,10 @@ const (
 
 // runEgressOnce stands up a fresh topology and measures one streaming
 // run: publish n messages under the credit window, then wait until
-// every subscriber has received all of them. Returns wall-clock
-// nanoseconds per published message.
-func runEgressOnce(size, fanout, n int, legacy bool, cfg EgressConfig) (float64, error) {
-	prev := ros.SetLegacyEgress(legacy)
-	defer ros.SetLegacyEgress(prev)
-
+// every subscriber has received all of them. reference selects the
+// frozen reference publisher instead of the library's. Returns
+// wall-clock nanoseconds per published message.
+func runEgressOnce(size, fanout, n int, reference bool, cfg EgressConfig) (float64, error) {
 	master := ros.NewLocalMaster()
 	pubNode, err := ros.NewNode("egress_pub", ros.WithMaster(master), ros.WithMetrics(cfg.Registry))
 	if err != nil {
@@ -207,8 +210,13 @@ func runEgressOnce(size, fanout, n int, legacy bool, cfg EgressConfig) (float64,
 		}
 		defer sub.Close()
 	}
-	pub, err := ros.Advertise[sensor_msgs.ImageSF](pubNode, "bench/egress",
-		ros.WithQueueSize(egressQueueSize))
+	var pub egressPublisher
+	if reference {
+		pub, err = newReferencePublisher(master, "bench/egress")
+	} else {
+		pub, err = ros.Advertise[sensor_msgs.ImageSF](pubNode, "bench/egress",
+			ros.WithQueueSize(egressQueueSize))
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -281,4 +289,152 @@ func runEgressOnce(size, fanout, n int, legacy bool, cfg EgressConfig) (float64,
 		return 0, err
 	}
 	return float64(time.Since(t0)) / float64(n), nil
+}
+
+// egressPublisher is what a streaming run publishes through.
+type egressPublisher interface {
+	Publish(*sensor_msgs.ImageSF) error
+	NumSubscribers() int
+	Close()
+}
+
+// referencePublisher is the frozen egress baseline: the per-frame
+// publisher the library shipped before batched egress, kept here as a
+// fixed reference (it is never changed to track the library). It
+// registers its own listener with the master, answers the handshake
+// itself, and runs one goroutine and one queue per connection; each
+// frame's checksum is computed per connection and its header and
+// payload go out as two conn.Write calls.
+type referencePublisher struct {
+	ln         net.Listener
+	unregister func()
+	wg         sync.WaitGroup
+
+	mu     sync.Mutex
+	conns  []*referenceConn
+	closed bool
+}
+
+type referenceConn struct {
+	conn net.Conn
+	ch   chan core.Ref
+}
+
+func newReferencePublisher(master ros.Master, topic string) (*referencePublisher, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	var img sensor_msgs.ImageSF
+	p := &referencePublisher{ln: ln}
+	p.unregister, err = master.RegisterPublisher(topic, ros.PublisherInfo{NodeName: "egress_reference",
+		Addr: ln.Addr().String(), TypeName: img.ROSMessageType(), MD5: img.ROSMD5Sum()})
+	if err != nil {
+		ln.Close()
+		return nil, err
+	}
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			p.wg.Add(1)
+			go func() {
+				defer p.wg.Done()
+				p.serve(conn)
+			}()
+		}
+	}()
+	return p, nil
+}
+
+// serve answers one subscriber's handshake, then writes its queue.
+func (p *referencePublisher) serve(conn net.Conn) {
+	defer conn.Close()
+	var n [4]byte
+	if _, err := io.ReadFull(conn, n[:]); err != nil {
+		return
+	}
+	body := make([]byte, binary.LittleEndian.Uint32(n[:]))
+	if _, err := io.ReadFull(conn, body); err != nil {
+		return
+	}
+	req, err := wire.ParseHeader(body)
+	if err != nil {
+		return
+	}
+	endian := "little"
+	if !core.NativeLittleEndian() {
+		endian = "big"
+	}
+	reply := map[string]string{"type": req["type"], "md5sum": req["md5sum"],
+		"callerid": "egress_reference", "format": "sfm", "endian": endian}
+	if _, err := conn.Write(wire.AppendHeader(nil, reply)); err != nil {
+		return
+	}
+	c := &referenceConn{conn: conn, ch: make(chan core.Ref, egressQueueSize)}
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return
+	}
+	p.conns = append(p.conns, c)
+	p.mu.Unlock()
+	var werr error
+	for r := range c.ch {
+		if werr == nil {
+			werr = writeReferenceFrame(conn, r.Bytes())
+		}
+		r.Release()
+	}
+}
+
+func writeReferenceFrame(conn net.Conn, payload []byte) error {
+	var hdr [wire.FrameHeaderSize]byte
+	wire.PutFrameHeader(hdr[:], len(payload), wire.Checksum(payload))
+	if _, err := conn.Write(hdr[:]); err != nil {
+		return err
+	}
+	_, err := conn.Write(payload)
+	return err
+}
+
+// Publish queues one reference to m on every connection.
+func (p *referencePublisher) Publish(m *sensor_msgs.ImageSF) error {
+	if err := core.MarkPublished(m); err != nil {
+		return err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, c := range p.conns {
+		r, err := core.NewRef(m)
+		if err != nil {
+			return err
+		}
+		c.ch <- r
+	}
+	return nil
+}
+
+func (p *referencePublisher) NumSubscribers() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.conns)
+}
+
+// Close withdraws the advertisement and ends every connection once its
+// queue is written.
+func (p *referencePublisher) Close() {
+	p.unregister()
+	p.ln.Close()
+	p.mu.Lock()
+	p.closed = true
+	for _, c := range p.conns {
+		close(c.ch)
+	}
+	p.mu.Unlock()
+	p.wg.Wait()
 }

@@ -3,33 +3,41 @@ package ros
 import (
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"rossf/internal/fieldwire"
 	"rossf/internal/obs"
 	"rossf/internal/wire"
 )
 
-// Batched, vectored publisher egress.
+// The send loop (DESIGN.md §3.8). Every publisher write — a dedicated
+// connection's and an egress shard's alike — runs through one loop,
+// parameterized by a frame encoder (how the connection frames its
+// messages, chosen once from its negotiated state) and a write target
+// (one connection, or every member of a shard):
 //
-// The write loop of every pubConn ships frames through an egressBatch:
-// after blocking on one queued item it greedily drains whatever is
-// ALREADY queued — never waiting for more — and sends the whole run as
-// one vectored write. Latency is therefore unchanged (an item that
-// arrives alone goes out alone, immediately) while a backlogged queue
-// collapses into one syscall per batch instead of two per frame.
+//	encoder   wire frame                            targets
+//	plain     header || payload                     connection, shard
+//	tagged    header || tag || payload              connection (shm)
+//	sparse    header || sparse table || ranges      connection (field mask)
+//
+// The loop blocks on one queued item, then greedily drains whatever is
+// ALREADY queued — never waiting for more — up to the caps, encodes the
+// run once and ships it to the target as one vectored write per
+// connection. Latency is therefore unchanged (an item that arrives
+// alone goes out alone, immediately) while a backlogged queue collapses
+// into one syscall per batch instead of two per frame.
 //
 // Frames whose payload is at or below coalesceThreshold are copied into
 // a pooled contiguous scratch buffer: at that size the copy is cheaper
 // than giving the kernel another iovec, and consecutive small frames
-// merge into a single write vector. Larger frames travel zero-copy as
-// their own header+payload vector pair, straight from the arena.
+// merge into a single write vector. Larger frames (and sparse ranges)
+// travel zero-copy as their own vectors, straight from the arena.
 //
-// All batch storage (item slots, header scratch, vector table) has
-// fixed capacity and is reused across batches, so the steady-state
-// batched write performs no heap allocation; the coalesce scratch is
-// the one large buffer, taken from a pool on first use and returned
-// when the connection's write loop exits.
+// All batch storage is sized once from the encoder and the caps and
+// reused across batches, so the steady-state loop performs no heap
+// allocation; the coalesce scratch is the one large buffer, taken from
+// a pool on first use and returned when the loop exits.
 const (
 	// maxBatchFrames bounds how many queued frames one vectored write may
 	// carry. 32 covers a fully backlogged default queue (16) twice over
@@ -48,24 +56,12 @@ const (
 
 	// egressScratchCap sizes the pooled coalesce buffer so that appending
 	// maxBatchFrames maximal coalesced frames (header + tag + payload)
-	// can never reallocate — reallocation would invalidate the write
-	// vectors already pointing into the buffer.
+	// never reallocates.
 	egressScratchCap = maxBatchFrames * (coalesceThreshold + wire.FrameHeaderSize + 1)
 )
 
-// legacyEgress routes publisher writes through the pre-batching path:
-// two sequential conn.Writes per frame and a per-connection checksum
-// recompute, with publish-time CRC stamping disabled. It exists so the
-// egress benchmark can measure an honest before/after inside one
-// binary; production code never sets it.
-var legacyEgress atomic.Bool
-
-// SetLegacyEgress toggles the legacy (unbatched, per-frame-checksum)
-// egress path and reports the previous setting. Benchmark-only.
-func SetLegacyEgress(on bool) bool { return legacyEgress.Swap(on) }
-
 // egressScratchPool holds coalesce buffers; one is borrowed per active
-// write loop that has seen at least one small frame.
+// send loop that has seen at least one small frame.
 var egressScratchPool = sync.Pool{
 	New: func() any {
 		buf := make([]byte, 0, egressScratchCap)
@@ -106,155 +102,338 @@ func (c *pubCRC) inline(p []byte) uint32 {
 	return c.inlineCRC
 }
 
-// egressBatch is one pubConn's reusable batch state. All fixed-size
-// storage lives inline; collect/flush cycles reuse it without
-// allocating.
+// frameEncoder names how a connection frames its messages — the send
+// side's mirror of the pump's frameDecoder.
+type frameEncoder int
+
+const (
+	encodePlain  frameEncoder = iota // header || payload
+	encodeTagged                     // header || tag || payload (see shm.go)
+	encodeSparse                     // header || sparse payload (see fieldwire.go)
+)
+
+// frameSpan locates one encoded frame: its first byte is
+// vecs[vec][off], and frames/coalesced/wire total the frames before it,
+// so a write can start at any frame of the run.
+type frameSpan struct {
+	vec, off                int
+	frames, coalesced, wire int
+}
+
+// egressBatch is one send loop's reusable state: the queued run, its
+// encoding, and the write target — pc for a dedicated connection, shard
+// for a shard's members.
 type egressBatch struct {
-	conn         net.Conn
-	writeTimeout time.Duration
-	stats        *obs.EgressStats // nil when metrics are disabled
-	tagged       bool             // connection negotiated shm framing
+	enc        frameEncoder
+	mask       *fieldwire.Mask // encodeSparse
+	pc         *pubConn
+	shard      *egressShard
+	egress     *obs.EgressStats      // nil when metrics are disabled
+	shardStats *obs.EgressShardStats // shard targets; nil when metrics are disabled
+	fw         *obs.FieldwireStats   // nil when metrics are disabled
 
-	items [maxBatchFrames]frameItem
-	n     int
-	bytes int // payload bytes queued (batch budget)
+	maxFrames, maxBytes int
+	items               []frameItem
+	bytes               int // payload bytes queued (batch budget)
 
-	// vecStore backs the net.Buffers handed to WriteTo. Worst case every
-	// frame is large (header vector + payload vector); coalesced runs
-	// only ever shrink the count.
-	vecStore [2 * maxBatchFrames][]byte
-	// hdrBuf backs the header vectors of non-coalesced frames; sized so
-	// appends can never reallocate under vectors already issued.
-	hdrBuf [maxBatchFrames * (wire.FrameHeaderSize + 1)]byte
+	// The encoded run: write vectors (coalesced runs merged), one span
+	// per item, and the run's totals.
+	vecs                    [][]byte
+	spans                   []frameSpan
+	frames, coalesced, wire int
+	// hdrs backs frame headers (with the tag, or the sparse table);
+	// sized so appends never reallocate under vectors already issued.
+	hdrs   []byte
+	ranges []fieldwire.Range // encodeSparse: per-frame range scratch
 	// scratch is the pooled coalesce buffer, borrowed on first use and
 	// returned by close.
 	scratch *[]byte
-	// vecs is the field WriteTo consumes; keeping it on the (heap-
-	// resident) batch rather than the stack stops the vector header
-	// escaping per flush.
-	vecs net.Buffers
+	// out is what one write consumes, copied from vecs into outStore;
+	// keeping it on the (heap-resident) batch stops the vector header
+	// escaping per write.
+	out      net.Buffers
+	outStore [][]byte
+	members  []*pubConn // shard targets: member snapshot
 }
 
+func newBatch(enc frameEncoder, mask *fieldwire.Mask, maxFrames, maxBytes int) *egressBatch {
+	vecsPer, hdrPer := 2, wire.FrameHeaderSize+1
+	b := &egressBatch{enc: enc, mask: mask, maxFrames: maxFrames, maxBytes: maxBytes}
+	if enc == encodeSparse {
+		maxR := mask.MaxRanges()
+		vecsPer, hdrPer = max(2, 1+maxR), wire.FrameHeaderSize+fieldwire.TableLen(maxR)
+		b.ranges = make([]fieldwire.Range, 0, maxR)
+	}
+	b.items = make([]frameItem, 0, maxFrames)
+	b.spans = make([]frameSpan, 0, maxFrames)
+	b.vecs = make([][]byte, 0, vecsPer*maxFrames)
+	b.outStore = make([][]byte, 0, vecsPer*maxFrames)
+	b.hdrs = make([]byte, 0, hdrPer*maxFrames)
+	return b
+}
+
+// newEgressBatch builds a dedicated connection's batch, its encoder
+// chosen from what the connection negotiated.
 func newEgressBatch(pc *pubConn) *egressBatch {
-	return &egressBatch{
-		conn:         pc.conn,
-		writeTimeout: pc.writeTimeout,
-		stats:        pc.egress,
-		tagged:       pc.shm != nil,
+	enc := encodePlain
+	switch {
+	case pc.mask != nil:
+		enc = encodeSparse
+	case pc.shm != nil:
+		enc = encodeTagged
+	}
+	b := newBatch(enc, pc.mask, maxBatchFrames, maxBatchBytes)
+	b.pc, b.egress, b.fw = pc, pc.egress, pc.fw
+	return b
+}
+
+// run is the send loop: block for one item, drain what is already
+// queued up to the caps, flush. It returns when stop closes or a
+// dedicated connection's write fails.
+func (b *egressBatch) run(ch <-chan frameItem, stop <-chan struct{}) {
+	defer b.close()
+	for {
+		select {
+		case <-stop:
+			return
+		case it := <-ch:
+			b.take(it)
+			for !b.full() {
+				select {
+				case it = <-ch:
+					b.take(it)
+					continue
+				default:
+				}
+				break
+			}
+			if !b.flush() {
+				return
+			}
+		}
+	}
+}
+
+// take accepts one queued item. Frames join the run; a shard's control
+// items flush the run first, so queue order holds on the wire.
+func (b *egressBatch) take(it frameItem) {
+	switch {
+	case it.move != nil:
+		b.flush()
+		b.shard.applyMove(it.move)
+	case it.only != nil:
+		b.flush()
+		b.shard.deliverTargeted(it, b)
+	default:
+		b.add(it)
 	}
 }
 
 // full reports whether the batch should stop draining the queue.
 func (b *egressBatch) full() bool {
-	return b.n >= maxBatchFrames || b.bytes >= maxBatchBytes
+	return len(b.items) >= b.maxFrames || b.bytes >= b.maxBytes
 }
 
-// add accepts one queued item into the batch. The write attempt is now
+// add accepts one frame into the run. The write attempt is now
 // imminent, so any shm undo is cleared here: once bytes may reach the
 // subscriber, the peer (or its lease reaper) owns the descriptor's
 // reference.
 func (b *egressBatch) add(it frameItem) {
 	it.undo = nil
-	b.items[b.n] = it
-	b.n++
+	b.items = append(b.items, it)
 	b.bytes += len(it.bytes())
 }
 
-// flush encodes every batched frame into write vectors and ships them
-// as one vectored write under a single deadline, then releases the
-// items. It reports whether the connection is still usable.
+// flush encodes the run once, writes it to the target and releases the
+// items. It reports whether a dedicated connection is still usable;
+// shard targets drop failed members themselves and always go on.
 func (b *egressBatch) flush() bool {
-	if b.n == 0 {
+	if len(b.items) == 0 {
 		return true
 	}
-	if b.writeTimeout > 0 {
-		b.conn.SetWriteDeadline(time.Now().Add(b.writeTimeout))
+	ok := true
+	if b.shard != nil {
+		b.shard.flushRun(b)
+	} else {
+		b.encode()
+		ok = b.writeTo(b.pc, 0)
 	}
-	vecs := b.vecStore[:0]
-	hdrs := b.hdrBuf[:0]
+	b.reset()
+	return ok
+}
+
+// encode renders the run once into write vectors and spans.
+func (b *egressBatch) encode() {
+	b.frames, b.coalesced, b.wire = 0, 0, 0
 	var sc []byte
 	if b.scratch != nil {
 		sc = (*b.scratch)[:0]
 	}
-	runStart := -1 // offset in sc where the open coalesced run began
-	coalesced := 0
-	wireBytes := 0
-	for i := 0; i < b.n; i++ {
+	run := -1 // offset in sc where the open coalesced run began
+	for i := range b.items {
 		it := &b.items[i]
 		p := it.bytes()
-		tag := it.tag
-		if b.tagged && tag == 0 {
-			tag = tagInline // latched/legacy items carry message bytes
+		sp := frameSpan{vec: len(b.vecs), frames: b.frames, coalesced: b.coalesced, wire: b.wire}
+		if b.enc == encodeSparse {
+			b.spans = append(b.spans, sp)
+			b.encodeSparse(p)
+			continue
 		}
-		crc := it.crc
+		tag, crc := it.tag, it.crc
+		if b.enc == encodeTagged && tag == 0 {
+			tag = tagInline // latched items carry message bytes
+		}
 		if !it.crcOK {
-			if b.tagged {
+			if b.enc == encodeTagged {
 				t := [1]byte{tag}
 				crc = wire.Checksum2(t[:], p)
 			} else {
 				crc = wire.Checksum(p)
 			}
 		}
-		wireBytes += wire.FrameHeaderSize + len(p)
-		if b.tagged {
-			wireBytes++
+		w := wire.FrameHeaderSize + len(p)
+		if b.enc == encodeTagged {
+			w++
 		}
 		if len(p) <= coalesceThreshold {
 			if b.scratch == nil {
 				b.scratch = egressScratchPool.Get().(*[]byte)
 				sc = (*b.scratch)[:0]
 			}
-			if runStart < 0 {
-				runStart = len(sc)
+			if run < 0 {
+				run = len(sc)
 			}
-			if b.tagged {
-				sc = wire.AppendTaggedFrameHeader(sc, tag, len(p), crc)
-			} else {
-				sc = wire.AppendFrameHeader(sc, len(p), crc)
-			}
+			sp.off = len(sc) - run
+			sc = b.appendHeader(sc, tag, len(p), crc)
 			sc = append(sc, p...)
-			coalesced++
-			continue
-		}
-		if runStart >= 0 {
-			vecs = append(vecs, sc[runStart:len(sc):len(sc)])
-			runStart = -1
-		}
-		h := len(hdrs)
-		if b.tagged {
-			hdrs = wire.AppendTaggedFrameHeader(hdrs, tag, len(p), crc)
+			b.coalesced++
 		} else {
-			hdrs = wire.AppendFrameHeader(hdrs, len(p), crc)
+			if run >= 0 {
+				b.vecs = append(b.vecs, sc[run:len(sc):len(sc)])
+				run = -1
+			}
+			sp.vec = len(b.vecs)
+			h := len(b.hdrs)
+			b.hdrs = b.appendHeader(b.hdrs, tag, len(p), crc)
+			b.vecs = append(b.vecs, b.hdrs[h:len(b.hdrs):len(b.hdrs)], p)
 		}
-		vecs = append(vecs, hdrs[h:len(hdrs):len(hdrs)], p)
+		b.spans = append(b.spans, sp)
+		b.frames++
+		b.wire += w
 	}
-	if runStart >= 0 {
-		vecs = append(vecs, sc[runStart:len(sc):len(sc)])
+	if run >= 0 {
+		b.vecs = append(b.vecs, sc[run:len(sc):len(sc)])
 	}
+}
 
-	b.vecs = vecs
-	_, err := b.vecs.WriteTo(b.conn)
+func (b *egressBatch) appendHeader(dst []byte, tag byte, n int, crc uint32) []byte {
+	if b.enc == encodeTagged {
+		return wire.AppendTaggedFrameHeader(dst, tag, n, crc)
+	}
+	return wire.AppendFrameHeader(dst, n, crc)
+}
 
-	if st := b.stats; st != nil {
+// encodeSparse appends one message as a sparse payload — frame header,
+// sparse header and range table in one hdrs span, each range's bytes a
+// zero-copy vector — or, when slicing saves nothing, whole behind a
+// full-fallback table.
+func (b *egressBatch) encodeSparse(p []byte) {
+	rs, rerr := b.mask.AppendRanges(b.ranges[:0], p)
+	sparseLen := 0
+	useSparse := rerr == nil
+	if useSparse {
+		sparseLen = fieldwire.TableLen(len(rs))
+		for _, r := range rs {
+			sparseLen += r.Len
+		}
+		// Slicing must save bytes; a mask covering (nearly) the whole
+		// message ships as a full payload, sparing the receiver the
+		// range walk.
+		useSparse = sparseLen < len(p)
+	}
+	if !useSparse && fieldwire.HeaderSize+len(p) > maxFrameSize {
+		// A message at the frame cap cannot absorb the full-fallback
+		// wrapper; drop it rather than ship an undecodable frame.
+		if b.pc.stats != nil {
+			b.pc.stats.Drops.Inc()
+		}
+		return
+	}
+	h := len(b.hdrs)
+	b.hdrs = b.hdrs[:h+wire.FrameHeaderSize] // reserve the frame header
+	if useSparse {
+		b.hdrs = fieldwire.AppendTable(b.hdrs, len(p), rs, p)
+		// The frame CRC covers the sparse payload exactly as the receiver
+		// will see it: table span, then each range's bytes.
+		crc := wire.Checksum(b.hdrs[h+wire.FrameHeaderSize:])
+		for _, r := range rs {
+			crc = wire.ChecksumUpdate(crc, p[r.Off:r.End()])
+		}
+		wire.PutFrameHeader(b.hdrs[h:h+wire.FrameHeaderSize], sparseLen, crc)
+		b.vecs = append(b.vecs, b.hdrs[h:len(b.hdrs):len(b.hdrs)])
+		for _, r := range rs {
+			b.vecs = append(b.vecs, p[r.Off:r.End()])
+		}
+		b.wire += wire.FrameHeaderSize + sparseLen
+		if b.fw != nil {
+			b.fw.SparseFrames.Inc()
+			b.fw.BytesSaved.Add(uint64(len(p) - sparseLen))
+		}
+	} else {
+		b.hdrs = fieldwire.AppendFullTable(b.hdrs, len(p))
+		crc := wire.ChecksumUpdate(wire.Checksum(b.hdrs[h+wire.FrameHeaderSize:]), p)
+		wire.PutFrameHeader(b.hdrs[h:h+wire.FrameHeaderSize], fieldwire.HeaderSize+len(p), crc)
+		b.vecs = append(b.vecs, b.hdrs[h:len(b.hdrs):len(b.hdrs)], p)
+		b.wire += wire.FrameHeaderSize + fieldwire.HeaderSize + len(p)
+		if b.fw != nil {
+			b.fw.FullFrames.Inc()
+		}
+	}
+	b.frames++
+}
+
+// writeTo ships the encoded run from frame k on to one connection as a
+// single vectored write under one deadline. It reports whether the
+// connection is still usable.
+func (b *egressBatch) writeTo(c *pubConn, k int) bool {
+	if k >= len(b.spans) || b.frames == b.spans[k].frames {
+		return true
+	}
+	sp := b.spans[k]
+	frames, coalesced, wireBytes := b.frames-sp.frames, b.coalesced-sp.coalesced, b.wire-sp.wire
+	b.out = append(b.outStore[:0], b.vecs[sp.vec][sp.off:])
+	b.out = append(b.out, b.vecs[sp.vec+1:]...)
+	if c.writeTimeout > 0 {
+		c.conn.SetWriteDeadline(time.Now().Add(c.writeTimeout))
+	}
+	_, err := b.out.WriteTo(c.conn)
+	b.out = nil
+	if st := b.shardStats; st != nil {
 		st.Writes.Inc()
-		st.Frames.Add(uint64(b.n))
+		st.Frames.Add(uint64(frames))
+		st.Bytes.Add(uint64(wireBytes))
+	}
+	if st := b.egress; st != nil {
+		st.Writes.Inc()
+		st.Frames.Add(uint64(frames))
 		st.Coalesced.Add(uint64(coalesced))
-		st.FramesPerWrite.Observe(int64(b.n))
+		st.FramesPerWrite.Observe(int64(frames))
 		st.BytesPerWrite.Observe(int64(wireBytes))
 	}
-	// Drop payload references so a quiet connection doesn't pin the last
-	// batch's arenas, and release the items (arena refs; undos are
-	// already cleared).
-	for i := range vecs {
-		vecs[i] = nil
-	}
-	for i := 0; i < b.n; i++ {
+	return err == nil
+}
+
+// reset releases the run's items and drops payload references so a
+// quiet loop doesn't pin the last run's arenas.
+func (b *egressBatch) reset() {
+	for i := range b.items {
 		b.items[i].release()
 		b.items[i] = frameItem{}
 	}
-	b.n = 0
+	clear(b.outStore[:len(b.vecs)]) // a write's vectors are a tail of vecs
+	clear(b.vecs)
+	b.items, b.vecs, b.spans, b.hdrs = b.items[:0], b.vecs[:0], b.spans[:0], b.hdrs[:0]
 	b.bytes = 0
-	return err == nil
 }
 
 // close returns pooled storage; the batch must be empty.
@@ -263,50 +442,4 @@ func (b *egressBatch) close() {
 		egressScratchPool.Put(b.scratch)
 		b.scratch = nil
 	}
-}
-
-// writeFrameLegacy is the pre-vectoring frame writer: header then
-// payload as two sequential writes, checksum recomputed here. Kept as
-// the measured baseline behind SetLegacyEgress.
-func writeFrameLegacy(conn net.Conn, payload []byte) error {
-	var hdr [wire.FrameHeaderSize]byte
-	wire.PutFrameHeader(hdr[:], len(payload), wire.Checksum(payload))
-	if _, err := conn.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := conn.Write(payload)
-	return err
-}
-
-// writeTaggedFrameLegacy is the pre-vectoring tagged writer (two
-// writes, per-call checksum), kept as the measured baseline.
-func writeTaggedFrameLegacy(conn net.Conn, tag byte, body []byte) error {
-	var hdr [wire.FrameHeaderSize + 1]byte
-	hdr[wire.FrameHeaderSize] = tag
-	wire.PutFrameHeader(hdr[:wire.FrameHeaderSize], len(body)+1, wire.Checksum2(hdr[wire.FrameHeaderSize:], body))
-	if _, err := conn.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := conn.Write(body)
-	return err
-}
-
-// writeOneLegacy ships one item on the pre-batching path.
-func (pc *pubConn) writeOneLegacy(it frameItem) bool {
-	if pc.writeTimeout > 0 {
-		pc.conn.SetWriteDeadline(time.Now().Add(pc.writeTimeout))
-	}
-	it.undo = nil
-	var err error
-	if pc.shm != nil {
-		tag := it.tag
-		if tag == 0 {
-			tag = tagInline
-		}
-		err = writeTaggedFrameLegacy(pc.conn, tag, it.bytes())
-	} else {
-		err = writeFrameLegacy(pc.conn, it.bytes())
-	}
-	it.release()
-	return err == nil
 }

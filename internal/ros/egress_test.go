@@ -912,3 +912,51 @@ func TestSendMatrix(t *testing.T) {
 			FPWCount: 4, FPWMax: 1, BPWMax: int64(len(plainRef(latch)))}, a, late)
 	})
 }
+
+// TestRawPublisherGrantsNoShm: a raw SFM publisher ships only frames,
+// never descriptors, so a shm offer against it — even on a node with a
+// store, from a same-boot peer — must be answered with TCP and must not
+// lease one of the store's peer slots.
+func TestRawPublisherGrantsNoShm(t *testing.T) {
+	if !shm.Available() {
+		t.Skip("shared-memory transport unavailable on this platform")
+	}
+	store, err := shm.NewStore(shm.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatalf("NewStore: %v", err)
+	}
+	defer store.Close()
+	node, err := NewNode("raw_shm", WithMaster(NewLocalMaster()), WithShmStore(store),
+		WithMetrics(obs.NewRegistry()), WithoutListener())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	rp, err := AdvertiseRaw(node, "raw/noshm", "test_msgs/Endian", "aaaabbbbccccdddd0000111122223333",
+		true, core.NativeLittleEndian())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rp.Close()
+
+	reply, sender := rp.ep.negotiateShm(map[string]string{
+		hdrTransports: wire.TransportNameShm + "," + wire.TransportNameTCP,
+		hdrPID:        pidString(),
+		hdrBootID:     shm.BootID(),
+	})
+	if sender != nil {
+		store.RetirePeer(sender.peer)
+	}
+	if got := reply[hdrTransport]; got != wire.TransportNameTCP {
+		t.Errorf("raw publisher selected transport %q, want %q", got, wire.TransportNameTCP)
+	}
+	// The first free peer slot is still slot 0: nothing was leased.
+	peer, _, err := store.AcquirePeer(uint32(os.Getpid()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.RetirePeer(peer)
+	if peer != 0 {
+		t.Errorf("negotiation leased peer slot(s): next free slot is %d, want 0", peer)
+	}
+}

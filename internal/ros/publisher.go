@@ -173,148 +173,178 @@ func (p *Publisher[T]) Publish(m *T) error {
 	if err := s.SerializeROS(w); err != nil {
 		return fmt.Errorf("ros: serialize %s: %w", ep.typeName, err)
 	}
+	out := outMsg{p: w.Bytes()}
 	var l *latchedMsg
 	if ep.latch {
-		l = &latchedMsg{frame: w.Bytes()}
+		l = &latchedMsg{out: out} // the writer's frame is never reused
 	}
-	ep.fanoutFrame(w.Bytes(), l)
-	return nil
+	return ep.fanout(out, l)
 }
 
-// publishSFM distributes an arena-backed message without serialization.
-//
-// When the topic latches, the new latch is built BEFORE the fan-out
-// snapshot and installed inside the same critical section that captures
-// the connection set. Installing it after the fan-out (the old order)
-// left a window in which a subscriber accepted mid-publish received the
-// previous latched message and permanently missed the newest one.
+// publishSFM distributes an arena-backed message without serialization:
+// the typed steps — the Published transition, the latch's own arena
+// reference — around the shared fan-out.
 func publishSFM[T any](ep *pubEndpoint, m *T) error {
 	if err := core.MarkPublished(m); err != nil {
 		return fmt.Errorf("ros: publish %s: %w", ep.typeName, err)
 	}
+	p, err := core.Bytes(m)
+	if err != nil {
+		return fmt.Errorf("ros: publish %s: %w", ep.typeName, err)
+	}
+	out := outMsg{p: p, arena: sfmMsg[T]{m}}
 	var l *latchedMsg
 	if ep.latch {
-		// The latch holds its own reference; the closures mint more for
-		// each late subscriber, which is safe while that hold exists.
+		// The latch holds its own reference; late subscribers mint more
+		// from the message, which is safe while that hold exists.
 		hold, err := core.NewRef(m)
 		if err != nil {
 			return fmt.Errorf("ros: latch %s: %w", ep.typeName, err)
 		}
-		mm := m
-		l = &latchedMsg{
-			mkItem: func() (frameItem, error) {
-				r, err := core.NewRef(mm)
-				if err != nil {
-					return frameItem{}, err
-				}
-				return frameItem{ref: &r}, nil
-			},
-			mkShared: func() (any, func(), bool) {
-				if core.Retain(mm) != nil {
-					return nil, nil, false
-				}
-				return any(mm), func() { core.Release(mm) }, true
-			},
-			drop: func() { hold.Release() },
-		}
+		l = &latchedMsg{out: outMsg{arena: out.arena}, hold: &hold}
 	}
-	// One checksum pass per publish: the memoizer hashes the arena on the
-	// first consumer that needs each framing variant and every later one
-	// reuses the stamped value. When the shard pool is live the plain
+	return ep.fanout(out, l)
+}
+
+// outMsg is one publish as the fan-out sees it: p is the payload — the
+// frame, or the message's arena bytes — and arena, set on typed SFM
+// publishes only, mints references to the message behind it.
+type outMsg struct {
+	p     []byte
+	arena arenaMsg
+}
+
+// arenaMsg is the typed SFM message behind a publish. Its one
+// implementation, sfmMsg, is pointer-shaped, so holding it in the
+// interface allocates nothing.
+type arenaMsg interface {
+	ref() (core.Ref, error)
+	share(c *pubConn) (it frameItem, promoted bool, outcome shmOutcome)
+	retain() (m any, release func(), err error)
+}
+
+type sfmMsg[T any] struct{ m *T }
+
+func (s sfmMsg[T]) ref() (core.Ref, error) { return core.NewRef(s.m) }
+
+func (s sfmMsg[T]) share(c *pubConn) (frameItem, bool, shmOutcome) { return shmItemFor(c, s.m) }
+
+func (s sfmMsg[T]) retain() (any, func(), error) {
+	m := s.m
+	if err := core.Retain(m); err != nil {
+		return nil, nil, err
+	}
+	return any(m), func() { core.Release(m) }, nil
+}
+
+// item mints one queue item: a fresh arena reference, or the frame.
+func (o outMsg) item() (frameItem, error) {
+	if o.arena == nil {
+		return frameItem{data: o.p}, nil
+	}
+	r, err := o.arena.ref()
+	if err != nil {
+		return frameItem{}, err
+	}
+	return frameItem{ref: &r}, nil
+}
+
+// deliver hands the publish to a same-process sink: the message itself,
+// under a reference of its own, or the frame.
+func (o outMsg) deliver(t *sink, little bool) error {
+	if o.arena == nil {
+		t.deliverFrame(o.p, little)
+		return nil
+	}
+	m, release, err := o.arena.retain()
+	if err != nil {
+		return err
+	}
+	t.shared(m, release)
+	return nil
+}
+
+// fanout is the one publish hand-over — typed SFM messages, ROS1
+// frames and raw frames alike. When l is non-nil it is installed as the
+// new latch atomically with the snapshot (see snapshotForPublish).
+func (ep *pubEndpoint) fanout(out outMsg, l *latchedMsg) error {
+	// One checksum pass per publish: the memoizer hashes the payload for
+	// the first consumer that needs each framing variant and every later
+	// one reuses the stamped value. With the shard pool live the plain
 	// variant is computed here, OUTSIDE the endpoint lock, so the
-	// per-shard items minted inside the snapshot's critical section only
-	// copy the memoized value.
+	// per-shard items minted inside the snapshot only copy it.
 	var crcs pubCRC
-	poolActive := ep.poolActive.Load()
-	if poolActive {
-		if r, err := core.NewRef(m); err == nil {
-			crcs.plain(r.Bytes())
-			r.Release()
-		}
+	if ep.poolActive.Load() {
+		crcs.plain(out.p)
 	}
-	mkShard := func() (frameItem, bool) {
-		r, err := core.NewRef(m)
-		if err != nil {
-			return frameItem{}, false
-		}
-		it := frameItem{ref: &r}
-		it.crc, it.crcOK = crcs.plain(r.Bytes()), true
-		return it, true
-	}
-	conns, targets, prev := ep.snapshotForPublish(l, mkShard)
-	if prev != nil && prev.drop != nil {
+	conns, targets, prev := ep.snapshotForPublish(out, &crcs, l)
+	if prev != nil {
 		prev.drop()
 	}
-
-	// Legacy mode leaves items unstamped so the baseline write loop pays
-	// the old per-connection checksum. With fewer than two stamp readers
-	// stamping is skipped too (unless the hash already exists):
-	// memoization saves nothing with one consumer, and computing the
-	// checksum here would serialise it with the publish loop instead of
-	// overlapping it with the next publish on the connection's writer
-	// goroutine.
-	stamp := !legacyEgress.Load() && (stampReaders(conns) > 1 || crcs.plainOK)
+	// With fewer than two stamp readers stamping is skipped (unless the
+	// hash already exists): memoization saves nothing with one consumer,
+	// and computing the checksum here would serialise it with the
+	// publish loop instead of overlapping it with the next publish on the
+	// connection's send loop.
+	stamp := stampReaders(conns) > 1 || crcs.plainOK
 	for _, c := range conns {
-		if c.shm != nil {
-			// Zero-copy path: the subscriber gets a 24-byte descriptor into
-			// the shared slot the message lives in — natively, or via a
-			// copy-once promotion for heap-backed arenas.
-			it, promoted, outcome := shmItemFor(c, m)
-			if promoted {
-				if st := ep.node.shmStats(); st != nil {
-					st.Promotions.Inc()
-				}
-			}
-			if outcome == shmShared {
-				c.enqueue(it)
-				continue
-			}
-			// No shared slot to point at: the bytes travel inline, still
-			// framed for the tagged connection, and the fallback is
-			// counted by reason (and eventually warned about) — silent
-			// degradation off the descriptor path is a bug signal.
-			used, _ := core.UsedSize(m)
-			ep.noteShmFallback(used, outcome)
-			ref, err := core.NewRef(m)
-			if err != nil {
-				return fmt.Errorf("ros: publish %s: %w", ep.typeName, err)
-			}
-			it = frameItem{ref: &ref, tag: tagInline}
-			if stamp {
-				it.crc, it.crcOK = crcs.inline(ref.Bytes()), true
-			}
-			c.enqueue(it)
-			continue
-		}
-		ref, err := core.NewRef(m)
+		it, err := ep.itemFor(c, out, stamp, &crcs)
 		if err != nil {
 			return fmt.Errorf("ros: publish %s: %w", ep.typeName, err)
-		}
-		it := frameItem{ref: &ref}
-		if stamp && c.mask == nil {
-			it.crc, it.crcOK = crcs.plain(ref.Bytes()), true
 		}
 		c.enqueue(it)
 	}
+	little := ep.littleEndian()
 	for _, t := range targets {
-		if err := core.Retain(m); err != nil {
+		if err := out.deliver(t, little); err != nil {
 			return fmt.Errorf("ros: publish %s: %w", ep.typeName, err)
 		}
-		mm := m // capture for the release closure
-		t.shared(any(mm), func() { core.Release(mm) })
 	}
-
 	if st := ep.stats; st != nil {
 		st.Messages.Inc()
-		if n, err := core.UsedSize(m); err == nil {
-			st.Bytes.Add(uint64(n))
-		}
+		st.Bytes.Add(uint64(len(out.p)))
 		st.FanOut.Set(int64(len(conns) + len(targets) + ep.shardFanout()))
 		if l != nil {
 			st.Latched.Set(1)
 		}
 	}
 	return nil
+}
+
+// itemFor mints c's queue item for one publish. Only typed SFM
+// endpoints grant shm (negotiateShm), so an shm link always has an
+// arena message: the subscriber gets a 24-byte descriptor into the
+// shared slot the message lives in — natively, or via a copy-once
+// promotion for heap-backed arenas. Every other link gets a view of
+// the payload, stamped with the memoized checksum when stamping pays.
+func (ep *pubEndpoint) itemFor(c *pubConn, out outMsg, stamp bool, crcs *pubCRC) (frameItem, error) {
+	if c.shm == nil {
+		it, err := out.item()
+		if stamp && c.mask == nil {
+			it.crc, it.crcOK = crcs.plain(out.p), true
+		}
+		return it, err
+	}
+	it, promoted, outcome := out.arena.share(c)
+	if promoted {
+		if st := ep.node.shmStats(); st != nil {
+			st.Promotions.Inc()
+		}
+	}
+	if outcome == shmShared {
+		return it, nil
+	}
+	// No shared slot to point at: the bytes travel inline, still framed
+	// for the tagged connection, and the fallback is counted by reason
+	// (and eventually warned about) — silent degradation off the
+	// descriptor path is a bug signal.
+	ep.noteShmFallback(len(out.p), outcome)
+	it, err := out.item()
+	it.tag = tagInline
+	if stamp {
+		it.crc, it.crcOK = crcs.inline(out.p), true
+	}
+	return it, err
 }
 
 // stampReaders counts the connections whose writer reads a publish-time
@@ -359,10 +389,12 @@ func (ep *pubEndpoint) noteShmFallback(used int, outcome shmOutcome) {
 	}
 }
 
-// frameItem is one outbound queue entry: a plain serialized frame, a
+// frameItem is one send-queue entry: a plain serialized frame, a
 // reference-counted view of an SFM arena, or (on shm connections) an
-// encoded shared-memory descriptor. tag selects the transport framing
-// on tagged connections; zero means untagged/inline. undo, when set,
+// encoded shared-memory descriptor. On a shard's queue it may instead
+// be a control item: a frame for one member only, or a migration. tag
+// selects the transport framing on tagged connections; zero means
+// untagged/inline. undo, when set,
 // returns the shm peer reference minted for a descriptor that never
 // reached the wire — the write loop clears it before the first write
 // attempt, because after any byte may have reached the subscriber the
@@ -371,15 +403,22 @@ func (ep *pubEndpoint) noteShmFallback(used int, outcome shmOutcome) {
 type frameItem struct {
 	data []byte
 	ref  *core.Ref
+	undo func()
 	tag  byte
 	// crc, when crcOK, is the frame checksum precomputed at publish time
 	// — over the payload on plain connections, over tag||payload on
 	// tagged ones — so N-subscriber fan-out hashes the arena once
-	// instead of once per connection. crcOK false (latched items, legacy
-	// mode) makes the write loop compute it.
-	crc   uint32
+	// instead of once per connection. crcOK false (latched items,
+	// single-reader fan-outs) makes the send loop compute it.
 	crcOK bool
-	undo  func()
+	crc   uint32
+
+	// Shard queues only: seq is the publish sequence the delivery gate
+	// checks (shard.go); only, when set, targets one member and bypasses
+	// the gate; move, when set, makes the item a migration.
+	seq  uint64
+	only *pubConn
+	move *shardMove
 }
 
 func (it frameItem) bytes() []byte {
@@ -416,6 +455,9 @@ type pubEndpoint struct {
 	// process's native order, but raw publishers replaying recorded
 	// frames advertise the recorded order.
 	endianName string
+	// raw marks frame-level endpoints (AdvertiseRaw): they ship frames,
+	// never shm descriptors, so they never grant shm.
+	raw        bool
 	unregister func()
 	stats      *obs.PubStats // nil when the node's metrics are disabled
 	// egressShards is the sharding config (see WithEgressShards);
@@ -450,16 +492,20 @@ type pubEndpoint struct {
 	wg sync.WaitGroup
 }
 
-// latchedMsg retains the last published message for late subscribers.
-// For SFM messages the closures mint fresh arena references per
-// consumer; for regular messages frame is the immutable serialized
-// form.
+// latchedMsg retains the last published message for late subscribers:
+// an immutable frame, or an SFM message kept alive by the latch's own
+// arena reference, from which each late consumer mints its own.
 type latchedMsg struct {
-	seq      uint64                     // pubSeq of the publish that latched it
-	frame    []byte                     // regular path
-	mkItem   func() (frameItem, error)  // SFM: per-connection queue item
-	mkShared func() (any, func(), bool) // SFM: intra-process delivery
-	drop     func()                     // release the latch's own hold
+	seq  uint64 // pubSeq of the publish that latched it
+	out  outMsg
+	hold *core.Ref // SFM: the latch's own reference
+}
+
+// drop releases the latch's own hold.
+func (l *latchedMsg) drop() {
+	if l.hold != nil {
+		l.hold.Release()
+	}
 }
 
 // snapshotForPublish captures the fan-out set and, when l is non-nil,
@@ -473,12 +519,12 @@ type latchedMsg struct {
 // latch is returned for the caller to drop outside the lock.
 //
 // When the shard pool is live, the same critical section enqueues one
-// item per shard (minted by mkShard), so shard delivery order agrees
+// item per shard, stamped from crcs, so shard delivery order agrees
 // with join order and the latch sequence — the sharded analogue of the
 // conns snapshot. A publish that races close loses: nothing is
 // snapshotted or enqueued, and the caller's uninstalled latch comes
 // back as prev so its hold is released.
-func (ep *pubEndpoint) snapshotForPublish(l *latchedMsg, mkShard func() (frameItem, bool)) (conns []*pubConn, targets []*sink, prev *latchedMsg) {
+func (ep *pubEndpoint) snapshotForPublish(out outMsg, crcs *pubCRC, l *latchedMsg) (conns []*pubConn, targets []*sink, prev *latchedMsg) {
 	ep.mu.Lock()
 	if ep.closed {
 		ep.mu.Unlock()
@@ -496,13 +542,14 @@ func (ep *pubEndpoint) snapshotForPublish(l *latchedMsg, mkShard func() (frameIt
 		targets = append(targets, t)
 		ep.inproc[t] = seq
 	}
-	if ep.pool != nil && mkShard != nil {
+	if ep.pool != nil {
 		for _, s := range ep.pool.shards {
-			it, ok := mkShard()
-			if !ok {
+			it, err := out.item()
+			if err != nil {
 				break
 			}
-			s.enqueue(shardItem{seq: seq, it: it})
+			it.seq, it.crc, it.crcOK = seq, crcs.plain(out.p), true
+			s.enqueue(it)
 		}
 	}
 	if l != nil {
@@ -525,14 +572,8 @@ func (ep *pubEndpoint) deliverLatchedTCP(pc *pubConn) {
 	}
 	pc.latchSeen = l.seq
 	ep.mu.Unlock()
-	if l.mkItem != nil {
-		if it, err := l.mkItem(); err == nil {
-			pc.enqueue(it)
-		}
-		return
-	}
-	if l.frame != nil {
-		pc.enqueue(frameItem{data: l.frame})
+	if it, err := l.out.item(); err == nil {
+		pc.enqueue(it)
 	}
 }
 
@@ -548,15 +589,7 @@ func (ep *pubEndpoint) deliverLatchedInproc(t *sink) {
 	}
 	ep.inproc[t] = l.seq
 	ep.mu.Unlock()
-	if l.mkShared != nil {
-		if m, release, ok := l.mkShared(); ok {
-			t.shared(m, release)
-		}
-		return
-	}
-	if l.frame != nil {
-		t.deliverFrame(l.frame, ep.littleEndian())
-	}
+	l.out.deliver(t, ep.littleEndian())
 }
 
 // littleEndian reports the byte order this endpoint declares for its
@@ -599,56 +632,6 @@ func (ep *pubEndpoint) shardFanout() int {
 		return 0
 	}
 	return p.memberCount()
-}
-
-// fanoutFrame distributes a serialized frame to all attachments and,
-// when l is non-nil, installs it as the new latch atomically with the
-// fan-out snapshot (see snapshotForPublish). The frame is shared
-// read-only; it must not be mutated afterwards.
-func (ep *pubEndpoint) fanoutFrame(frame []byte, l *latchedMsg) {
-	// Hash the frame once per framing variant, not once per connection
-	// (raw SFM publishers can negotiate shm, so tagged connections are
-	// possible here too). With the shard pool live the plain variant is
-	// memoized here, outside the lock, for the per-shard items.
-	var crcs pubCRC
-	if ep.poolActive.Load() {
-		crcs.plain(frame)
-	}
-	mkShard := func() (frameItem, bool) {
-		it := frameItem{data: frame}
-		it.crc, it.crcOK = crcs.plain(frame), true
-		return it, true
-	}
-	conns, targets, prev := ep.snapshotForPublish(l, mkShard)
-	if prev != nil && prev.drop != nil {
-		prev.drop()
-	}
-	// Stamping for a single reader is skipped for the same pipelining
-	// reason as the SFM path, unless the hash already exists.
-	stamp := !legacyEgress.Load() && (stampReaders(conns) > 1 || crcs.plainOK)
-	for _, c := range conns {
-		it := frameItem{data: frame}
-		if stamp && c.mask == nil {
-			if c.shm != nil {
-				it.crc, it.crcOK = crcs.inline(frame), true
-			} else {
-				it.crc, it.crcOK = crcs.plain(frame), true
-			}
-		}
-		c.enqueue(it)
-	}
-	little := ep.littleEndian()
-	for _, t := range targets {
-		t.deliverFrame(frame, little)
-	}
-	if st := ep.stats; st != nil {
-		st.Messages.Inc()
-		st.Bytes.Add(uint64(len(frame)))
-		st.FanOut.Set(int64(len(conns) + len(targets) + ep.shardFanout()))
-		if l != nil {
-			st.Latched.Set(1)
-		}
-	}
 }
 
 // acceptConn completes the publisher side of the subscriber handshake.
@@ -745,9 +728,10 @@ func (ep *pubEndpoint) acceptConn(conn net.Conn, req map[string]string) error {
 		}
 		s := ep.pool.join(pc)
 		if l := ep.latched; l != nil {
-			if it, ok := latchItemFor(l); ok {
+			if it, err := l.out.item(); err == nil {
 				pc.latchSeen = l.seq
-				s.enqueue(shardItem{seq: l.seq, only: pc, it: it})
+				it.seq, it.only = l.seq, pc
+				s.enqueue(it)
 			}
 		}
 		ep.mu.Unlock()
@@ -765,18 +749,6 @@ func (ep *pubEndpoint) acceptConn(conn net.Conn, req map[string]string) error {
 	}()
 	ep.deliverLatchedTCP(pc)
 	return nil
-}
-
-// latchItemFor builds a queue item carrying the latched message.
-func latchItemFor(l *latchedMsg) (frameItem, bool) {
-	if l.mkItem != nil {
-		it, err := l.mkItem()
-		return it, err == nil
-	}
-	if l.frame != nil {
-		return frameItem{data: l.frame}, true
-	}
-	return frameItem{}, false
 }
 
 // attachInproc adds a same-process subscriber. The subscriber's wire
@@ -815,8 +787,7 @@ func (ep *pubEndpoint) dropConn(pc *pubConn) {
 // writer to pc, so no other delivery can be in flight.
 func (ep *pubEndpoint) dropShardConn(s *egressShard, pc *pubConn) {
 	if s.removeMember(pc) {
-		s.stats.Conns.Add(-1)
-		s.pool.fanout.ShardedConns.Add(-1)
+		s.noteConns(-1)
 	}
 	pc.teardown()
 }
@@ -859,7 +830,7 @@ func (ep *pubEndpoint) rebalanceLocked() {
 	if victim == nil {
 		return
 	}
-	maxS.enqueue(shardItem{move: &shardMove{c: victim, to: minS}})
+	maxS.enqueue(frameItem{move: &shardMove{c: victim, to: minS}})
 }
 
 func (ep *pubEndpoint) close() {
@@ -880,7 +851,7 @@ func (ep *pubEndpoint) close() {
 	ep.latched = nil
 	ep.mu.Unlock()
 
-	if latched != nil && latched.drop != nil {
+	if latched != nil {
 		latched.drop()
 	}
 
@@ -964,47 +935,12 @@ func (pc *pubConn) enqueue(it frameItem) {
 	}
 }
 
-// writeLoop drains the outbound queue in adaptive batches: it blocks
-// for one item, then collects whatever is already queued — never
-// waiting for more, so an unloaded connection keeps per-frame latency —
-// and ships the run as one vectored write with one deadline (see
-// egress.go). A failed write (including a deadline hit from a
-// subscriber that stopped draining the socket) drops the connection;
-// the subscriber's retry loop re-establishes the link once it recovers.
-func (pc *pubConn) writeLoop() {
-	if pc.mask != nil {
-		pc.writeLoopSparse()
-		return
-	}
-	b := newEgressBatch(pc)
-	defer b.close()
-	for {
-		select {
-		case <-pc.stop:
-			return
-		case it := <-pc.ch:
-			if legacyEgress.Load() {
-				if !pc.writeOneLegacy(it) {
-					return
-				}
-				continue
-			}
-			b.add(it)
-			for !b.full() {
-				select {
-				case more := <-pc.ch:
-					b.add(more)
-					continue
-				default:
-				}
-				break
-			}
-			if !b.flush() {
-				return
-			}
-		}
-	}
-}
+// writeLoop is the connection's send loop (egress.go), its encoder
+// chosen from what the connection negotiated. A failed write (including
+// a deadline hit from a subscriber that stopped draining the socket)
+// ends it and drops the connection; the subscriber's retry loop
+// re-establishes the link once it recovers.
+func (pc *pubConn) writeLoop() { newEgressBatch(pc).run(pc.ch, pc.stop) }
 
 func (pc *pubConn) teardown() {
 	pc.stopOnce.Do(func() {

@@ -87,6 +87,7 @@ func AdvertiseRaw(n *Node, topic, typeName, md5 string, sfm, littleEndian bool,
 		writeTimeout: cfg.writeTimeout,
 		egressShards: cfg.egressShards,
 		endianName:   nativeEndianName(littleEndian),
+		raw:          true,
 		stats:        n.metrics.Publisher(topic),
 		conns:        make(map[*pubConn]struct{}),
 		inproc:       make(map[*sink]uint64),
@@ -126,9 +127,7 @@ func (p *RawPublisher) PublishFrame(frame []byte) error {
 	// fan-out snapshot (same latched-publish race as the typed path).
 	var l *latchedMsg
 	if p.ep.latch {
-		cp := append([]byte(nil), frame...)
-		l = &latchedMsg{frame: cp}
+		l = &latchedMsg{out: outMsg{p: append([]byte(nil), frame...)}}
 	}
-	p.ep.fanoutFrame(frame, l)
-	return nil
+	return p.ep.fanout(outMsg{p: frame}, l)
 }

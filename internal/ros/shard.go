@@ -1,12 +1,9 @@
 package ros
 
 import (
-	"net"
 	"sync"
-	"time"
 
 	"rossf/internal/obs"
-	"rossf/internal/wire"
 )
 
 // Sharded egress fan-out (DESIGN.md §3.10).
@@ -67,16 +64,6 @@ const (
 	shardMaxBatchBytes  = 512 << 10
 )
 
-// shardItem is one entry in a shard's queue: a broadcast frame (seq set,
-// the common case), a targeted frame for one member (latched delivery
-// to a late joiner), or a membership migration.
-type shardItem struct {
-	seq  uint64
-	it   frameItem
-	only *pubConn   // non-nil: deliver to this member only, bypassing the seq gate
-	move *shardMove // non-nil: migration control item (it is empty)
-}
-
 // shardMove asks the shard that dequeues it to hand conn over to
 // another shard in the same pool.
 type shardMove struct {
@@ -98,13 +85,15 @@ func newEgressShardPool(ep *pubEndpoint, n int) *egressShardPool {
 		s := &egressShard{
 			ep:     ep,
 			pool:   p,
-			ch:     make(chan shardItem, shardQueueDepth(ep.queueSize)),
+			ch:     make(chan frameItem, shardQueueDepth(ep.queueSize)),
 			stop:   make(chan struct{}),
 			stats:  ep.node.metrics.EgressShard(),
 			egress: ep.node.metrics.Egress(),
 		}
 		p.shards = append(p.shards, s)
-		p.fanout.ActiveShards.Add(1)
+		if p.fanout != nil {
+			p.fanout.ActiveShards.Add(1)
+		}
 		ep.wg.Add(1)
 		go func() {
 			defer ep.wg.Done()
@@ -142,8 +131,7 @@ func (p *egressShardPool) join(pc *pubConn) *egressShard {
 	best.mu.Lock()
 	best.members = append(best.members, pc)
 	best.mu.Unlock()
-	best.stats.Conns.Add(1)
-	p.fanout.ShardedConns.Add(1)
+	best.noteConns(1)
 	return best
 }
 
@@ -170,7 +158,7 @@ func (p *egressShardPool) stopAll() {
 type egressShard struct {
 	ep     *pubEndpoint
 	pool   *egressShardPool
-	ch     chan shardItem
+	ch     chan frameItem
 	stop   chan struct{}
 	stats  *obs.EgressShardStats // nil when metrics are disabled
 	egress *obs.EgressStats      // nil when metrics are disabled
@@ -186,6 +174,29 @@ func (s *egressShard) memberCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.members)
+}
+
+// has reports whether pc is (still) a member.
+func (s *egressShard) has(pc *pubConn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, m := range s.members {
+		if m == pc {
+			return true
+		}
+	}
+	return false
+}
+
+// noteConns moves the member gauges — this shard's and the pool's
+// sharded-connection total — by delta.
+func (s *egressShard) noteConns(delta int64) {
+	if st := s.stats; st != nil {
+		st.Conns.Add(delta)
+	}
+	if f := s.pool.fanout; f != nil {
+		f.ShardedConns.Add(delta)
+	}
 }
 
 // removeMember detaches pc if it is (still) a member, reporting whether
@@ -208,7 +219,7 @@ func (s *egressShard) removeMember(pc *pubConn) bool {
 // enqueue adds an item, dropping the oldest queued entry when full —
 // the shard-level analogue of ROS queue_size drop-oldest. Callers hold
 // ep.mu, which keeps per-shard sequence order intact.
-func (s *egressShard) enqueue(it shardItem) {
+func (s *egressShard) enqueue(it frameItem) {
 	for {
 		select {
 		case s.ch <- it:
@@ -227,150 +238,89 @@ func (s *egressShard) enqueue(it shardItem) {
 // migration leaves the connection where it is (the rebalancer will ask
 // again); a dropped broadcast is one publish lost for every member at
 // once.
-func (s *egressShard) dropQueued(old shardItem) {
+func (s *egressShard) dropQueued(old frameItem) {
 	if old.move != nil {
 		return
 	}
-	old.it.release()
+	old.release()
 	if old.only != nil {
 		if st := s.ep.stats; st != nil {
 			st.Drops.Inc()
 		}
 		return
 	}
-	s.pool.fanout.ShardDrops.Inc()
+	if f := s.pool.fanout; f != nil {
+		f.ShardDrops.Inc()
+	}
 	if st := s.ep.stats; st != nil {
 		st.Drops.Add(uint64(s.memberCount()))
 	}
 }
 
-// run is the shard loop: block for one item, then service the queue
-// greedily — exactly the classic write loop's adaptive batching, but
-// the batch is encoded once and fanned out to every member.
+// run is the shard's send loop (egress.go): the run is encoded once
+// and written to every member.
 func (s *egressShard) run() {
 	defer s.shutdown()
-	b := newShardBatch(s)
-	defer b.close()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case it := <-s.ch:
-			s.service(it, b)
-		}
-	}
-}
-
-// service processes the queue until it runs dry, flushing the pending
-// broadcast run before any control item so queue order is preserved on
-// the wire.
-func (s *egressShard) service(cur shardItem, b *shardBatch) {
-	for {
-		switch {
-		case cur.move != nil:
-			s.flushRun(b)
-			s.applyMove(cur.move)
-		case cur.only != nil:
-			s.flushRun(b)
-			s.deliverTargeted(cur, b)
-		default:
-			b.add(cur)
-			if b.full() {
-				s.flushRun(b)
-			}
-		}
-		select {
-		case cur = <-s.ch:
-		case <-s.stop:
-			s.flushRun(b)
-			return
-		default:
-			s.flushRun(b)
-			return
-		}
-	}
+	b := newBatch(encodePlain, nil, shardMaxBatchFrames, shardMaxBatchBytes)
+	b.shard, b.egress, b.shardStats = s, s.egress, s.stats
+	b.run(s.ch, s.stop)
 }
 
 // flushRun claims the pending run, encodes it once, and writes it to
-// every member. Failed members are dropped after the run (never
-// mid-iteration) and trigger a rebalance check.
-func (s *egressShard) flushRun(b *shardBatch) {
-	if b.n == 0 {
-		return
-	}
+// every member from the first frame the member has not seen: the whole
+// run, or — for a just-migrated member whose previous shard already
+// wrote a prefix — the unseen suffix. Failed members are dropped after
+// the run (never mid-iteration) and trigger a rebalance check.
+func (s *egressShard) flushRun(b *egressBatch) {
+	last := b.items[len(b.items)-1].seq
 	// Claim before delivering: once doneSeq covers the run, a migration
 	// admitted by another shard can no longer race these sequences.
 	s.mu.Lock()
-	if b.lastSeq > s.doneSeq {
-		s.doneSeq = b.lastSeq
+	if last > s.doneSeq {
+		s.doneSeq = last
 	}
-	members := append(b.memberScratch[:0], s.members...)
+	b.members = append(b.members[:0], s.members...)
 	s.mu.Unlock()
-	b.memberScratch = members[:0]
-
+	if len(b.members) == 0 {
+		return
+	}
+	b.encode()
 	var failed []*pubConn
-	if len(members) > 0 {
-		b.encode()
-		for _, c := range members {
-			if !b.writeTo(c) {
-				failed = append(failed, c)
-			}
+	for _, c := range b.members {
+		k := 0
+		for k < len(b.items) && b.items[k].seq <= c.lastSeq {
+			k++
+		}
+		c.lastSeq = last
+		if !b.writeTo(c, k) {
+			failed = append(failed, c)
 		}
 	}
-	b.reset()
+	clear(b.members)
+	for _, c := range failed {
+		s.ep.dropShardConn(s, c)
+	}
 	if len(failed) > 0 {
-		for _, c := range failed {
-			s.ep.dropShardConn(s, c)
-		}
 		s.ep.maybeRebalance()
 	}
 }
 
 // deliverTargeted writes one frame to one member (latched delivery to a
-// late joiner). The seq gate is bypassed and lastSeq untouched: the
-// latch carries an old sequence by definition. Join-time enqueue order
-// guarantees the target is still a member here unless it already failed
-// — a migration for it can only sit LATER in this queue.
-func (s *egressShard) deliverTargeted(cur shardItem, b *shardBatch) {
-	c := cur.only
-	s.mu.Lock()
-	member := false
-	for _, m := range s.members {
-		if m == c {
-			member = true
-			break
-		}
-	}
-	s.mu.Unlock()
-	if !member {
-		cur.it.release()
+// late joiner) as a run of one. The seq gate is bypassed and lastSeq
+// untouched: the latch carries an old sequence by definition. Join-time
+// enqueue order guarantees the target is still a member here unless it
+// already failed — a migration for it can only sit LATER in this queue.
+func (s *egressShard) deliverTargeted(it frameItem, b *egressBatch) {
+	c := it.only
+	if !s.has(c) {
+		it.release()
 		return
 	}
-	p := cur.it.bytes()
-	crc := cur.it.crc
-	if !cur.it.crcOK {
-		crc = wire.Checksum(p)
-	}
-	var hdr [wire.FrameHeaderSize]byte
-	wire.PutFrameHeader(hdr[:], len(p), crc)
-	if c.writeTimeout > 0 {
-		c.conn.SetWriteDeadline(time.Now().Add(c.writeTimeout))
-	}
-	b.out = append(b.vecScratch[:0], hdr[:], p)
-	_, err := b.out.WriteTo(c.conn)
-	b.out = nil
-	wb := wire.FrameHeaderSize + len(p)
-	s.stats.Writes.Inc()
-	s.stats.Frames.Inc()
-	s.stats.Bytes.Add(uint64(wb))
-	if st := s.egress; st != nil {
-		st.Writes.Inc()
-		st.Frames.Inc()
-		st.FramesPerWrite.Observe(1)
-		st.BytesPerWrite.Observe(int64(wb))
-	}
-	cur.it.release()
-	if err != nil {
+	b.add(it)
+	b.encode()
+	ok := b.writeTo(c, 0)
+	b.reset()
+	if !ok {
 		s.ep.dropShardConn(s, c)
 		s.ep.maybeRebalance()
 	}
@@ -381,19 +331,7 @@ func (s *egressShard) deliverTargeted(cur shardItem, b *shardBatch) {
 // rejected move is left for a later rebalance pass.
 func (s *egressShard) applyMove(mv *shardMove) {
 	c, t := mv.c, mv.to
-	if t == s {
-		return
-	}
-	s.mu.Lock()
-	member := false
-	for _, m := range s.members {
-		if m == c {
-			member = true
-			break
-		}
-	}
-	s.mu.Unlock()
-	if !member {
+	if t == s || !s.has(c) {
 		return // already dropped or moved
 	}
 	t.mu.Lock()
@@ -406,9 +344,11 @@ func (s *egressShard) applyMove(mv *shardMove) {
 		return
 	}
 	s.removeMember(c)
-	s.stats.Conns.Add(-1)
-	t.stats.Conns.Add(1)
-	s.pool.fanout.Rebalances.Inc()
+	s.noteConns(-1)
+	t.noteConns(1)
+	if f := s.pool.fanout; f != nil {
+		f.Rebalances.Inc()
+	}
 }
 
 // shutdown drains the queue and tears down the members after the loop
@@ -418,9 +358,7 @@ func (s *egressShard) shutdown() {
 	for {
 		select {
 		case it := <-s.ch:
-			if it.move == nil {
-				it.it.release()
-			}
+			it.release()
 			continue
 		default:
 		}
@@ -433,203 +371,8 @@ func (s *egressShard) shutdown() {
 	for _, c := range members {
 		c.teardown()
 	}
-	s.stats.Conns.Set(0)
-	s.pool.fanout.ShardedConns.Add(int64(-len(members)))
-	s.pool.fanout.ActiveShards.Add(-1)
-}
-
-// shardSpan records where one frame's encoded form lives, so a
-// just-migrated member (whose previous shard already wrote part of the
-// run) can receive a filtered subset without re-encoding.
-type shardSpan struct {
-	hdr     []byte // header bytes; for coalesced frames, header+payload
-	payload []byte // nil for coalesced frames
-	wire    int    // wire bytes of this frame
-}
-
-// shardBatch is a shard's reusable encode-once state: the same
-// fixed-capacity storage discipline as egressBatch, plus the per-frame
-// spans and the sequence bounds the delivery gate needs. Sharded
-// connections never negotiate shm, so framing is always untagged.
-type shardBatch struct {
-	writeTimeout time.Duration
-	stats        *obs.EgressShardStats
-	egress       *obs.EgressStats
-
-	items [shardMaxBatchFrames]shardItem
-	spans [shardMaxBatchFrames]shardSpan
-	n     int
-	bytes int
-	// firstSeq/lastSeq bound the run's sequences (items arrive in
-	// order).
-	firstSeq, lastSeq uint64
-
-	coalesced int
-	wireBytes int
-
-	// tmpl is the encoded run as write vectors: consecutive coalesced
-	// frames merged into single scratch spans, large frames as
-	// header+payload pairs. Each member write copies the slice headers
-	// into vecScratch (WriteTo consumes its argument).
-	tmpl       [][]byte
-	tmplStore  [2 * shardMaxBatchFrames][]byte
-	vecScratch [2 * shardMaxBatchFrames][]byte
-	hdrBuf     [shardMaxBatchFrames * wire.FrameHeaderSize]byte
-	scratch    *[]byte
-	out        net.Buffers
-
-	memberScratch []*pubConn
-}
-
-func newShardBatch(s *egressShard) *shardBatch {
-	return &shardBatch{
-		writeTimeout: s.ep.writeTimeout,
-		stats:        s.stats,
-		egress:       s.egress,
-	}
-}
-
-func (b *shardBatch) full() bool {
-	return b.n >= shardMaxBatchFrames || b.bytes >= shardMaxBatchBytes
-}
-
-func (b *shardBatch) add(it shardItem) {
-	it.it.undo = nil
-	if b.n == 0 {
-		b.firstSeq = it.seq
-	}
-	b.lastSeq = it.seq
-	b.items[b.n] = it
-	b.n++
-	b.bytes += len(it.it.bytes())
-}
-
-// encode renders the run once: headers and small payloads into the
-// pooled scratch (merged runs), large payloads as zero-copy vectors
-// straight from their arenas.
-func (b *shardBatch) encode() {
-	tmpl := b.tmplStore[:0]
-	hdrs := b.hdrBuf[:0]
-	var sc []byte
-	if b.scratch != nil {
-		sc = (*b.scratch)[:0]
-	}
-	runStart := -1
-	b.coalesced = 0
-	b.wireBytes = 0
-	for i := 0; i < b.n; i++ {
-		it := &b.items[i].it
-		p := it.bytes()
-		crc := it.crc
-		if !it.crcOK {
-			crc = wire.Checksum(p)
-		}
-		w := wire.FrameHeaderSize + len(p)
-		b.wireBytes += w
-		if len(p) <= coalesceThreshold {
-			if b.scratch == nil {
-				b.scratch = egressScratchPool.Get().(*[]byte)
-				sc = (*b.scratch)[:0]
-			}
-			if runStart < 0 {
-				runStart = len(sc)
-			}
-			off := len(sc)
-			sc = wire.AppendFrameHeader(sc, len(p), crc)
-			sc = append(sc, p...)
-			b.spans[i] = shardSpan{hdr: sc[off:len(sc):len(sc)], wire: w}
-			b.coalesced++
-			continue
-		}
-		if runStart >= 0 {
-			tmpl = append(tmpl, sc[runStart:len(sc):len(sc)])
-			runStart = -1
-		}
-		h := len(hdrs)
-		hdrs = wire.AppendFrameHeader(hdrs, len(p), crc)
-		b.spans[i] = shardSpan{hdr: hdrs[h:len(hdrs):len(hdrs)], payload: p, wire: w}
-		tmpl = append(tmpl, b.spans[i].hdr, p)
-	}
-	if runStart >= 0 {
-		tmpl = append(tmpl, sc[runStart:len(sc):len(sc)])
-	}
-	b.tmpl = tmpl
-}
-
-// writeTo ships the encoded run to one member as a single vectored
-// write, honouring the delivery gate. It reports whether the
-// connection is still usable.
-func (b *shardBatch) writeTo(c *pubConn) bool {
-	frames := b.n
-	wireBytes := b.wireBytes
-	coalesced := b.coalesced
-	var vecs net.Buffers
-	if c.lastSeq < b.firstSeq {
-		vecs = append(b.vecScratch[:0], b.tmpl...)
-	} else {
-		// Just-migrated member: its previous shard already delivered a
-		// prefix of this run. Ship only the unseen suffix.
-		vecs = b.vecScratch[:0]
-		frames, wireBytes, coalesced = 0, 0, 0
-		for i := 0; i < b.n; i++ {
-			if b.items[i].seq <= c.lastSeq {
-				continue
-			}
-			sp := &b.spans[i]
-			vecs = append(vecs, sp.hdr)
-			if sp.payload != nil {
-				vecs = append(vecs, sp.payload)
-			} else {
-				coalesced++
-			}
-			frames++
-			wireBytes += sp.wire
-		}
-	}
-	c.lastSeq = b.lastSeq
-	if frames == 0 {
-		return true
-	}
-	if b.writeTimeout > 0 {
-		c.conn.SetWriteDeadline(time.Now().Add(b.writeTimeout))
-	}
-	b.out = vecs
-	_, err := b.out.WriteTo(c.conn)
-	b.out = nil
-	b.stats.Writes.Inc()
-	b.stats.Frames.Add(uint64(frames))
-	b.stats.Bytes.Add(uint64(wireBytes))
-	if st := b.egress; st != nil {
-		st.Writes.Inc()
-		st.Frames.Add(uint64(frames))
-		st.Coalesced.Add(uint64(coalesced))
-		st.FramesPerWrite.Observe(int64(frames))
-		st.BytesPerWrite.Observe(int64(wireBytes))
-	}
-	return err == nil
-}
-
-// reset releases the run's items and drops payload references so a
-// quiet shard doesn't pin the last batch's arenas.
-func (b *shardBatch) reset() {
-	for i := range b.tmplStore {
-		b.tmplStore[i] = nil
-		b.vecScratch[i] = nil
-	}
-	b.tmpl = nil
-	for i := 0; i < b.n; i++ {
-		b.items[i].it.release()
-		b.items[i] = shardItem{}
-		b.spans[i] = shardSpan{}
-	}
-	b.n = 0
-	b.bytes = 0
-}
-
-// close returns pooled storage; the batch must be empty.
-func (b *shardBatch) close() {
-	if b.scratch != nil {
-		egressScratchPool.Put(b.scratch)
-		b.scratch = nil
+	s.noteConns(-int64(len(members)))
+	if f := s.pool.fanout; f != nil {
+		f.ActiveShards.Add(-1)
 	}
 }

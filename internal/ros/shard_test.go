@@ -671,3 +671,38 @@ func TestShardingDisabled(t *testing.T) {
 	}
 	waitFor(t, 10*time.Second, "delivery", func() bool { return rec.count() == 1 })
 }
+
+// TestShardedPublishWithoutMetrics: the shard pool must run on a node
+// whose instruments are disabled (WithMetrics(nil)) — forced sharding
+// on the first subscriber, and delivery through the pool.
+func TestShardedPublishWithoutMetrics(t *testing.T) {
+	m := NewLocalMaster()
+	pubNode := shardNode(t, "pub", m, nil)
+	subNode := shardNode(t, "sub", m, nil)
+	const typeName, md5 = "shard_test/NoMetrics", "0000000000000000000000000000ffff"
+	rp, err := AdvertiseRaw(pubNode, "shard/nometrics", typeName, md5, false, true, WithEgressShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rp.Close()
+	got := make(chan []byte, 4)
+	sub, err := SubscribeRaw(subNode, "shard/nometrics", typeName, md5, false, func(m RawMessage) {
+		got <- append([]byte(nil), m.Frame...)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	waitFor(t, 5*time.Second, "the sharded subscriber", func() bool { return rp.NumSubscribers() == 1 })
+	if err := rp.PublishFrame([]byte("sharded")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case f := <-got:
+		if string(f) != "sharded" {
+			t.Errorf("delivered %q, want %q", f, "sharded")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no delivery through the shard pool")
+	}
+}

@@ -2,7 +2,6 @@ package ros
 
 import (
 	"fmt"
-	"net"
 	"os"
 	"strconv"
 	"time"
@@ -61,32 +60,24 @@ type shmSender struct {
 // itself (unlike the Counter/Gauge methods) is not nil-safe.
 func (n *Node) shmStats() *obs.ShmStats { return n.metrics.Shm() }
 
-// writeTaggedFrame sends one checked frame whose payload is tag||body,
-// without materializing the concatenation: header, tag, and body go out
-// as a single vectored write (the tag rides contiguously with the
-// header span) and the body is written from its backing storage (the
-// arena, for inline SFM messages).
-func writeTaggedFrame(conn net.Conn, tag byte, body []byte) error {
-	t := [1]byte{tag}
-	return wire.WriteTaggedFrame(conn, tag, body, wire.Checksum2(t[:], body))
-}
-
 // negotiateShm runs the publisher side of transport selection: shm is
-// chosen only for an SFM topic, on a node with a store, for a
-// subscriber that offered shm from the same boot (same machine), and
-// only while a peer lease slot is free. Every other combination — and
-// any failure — selects TCP. It returns the header fields to merge into
+// chosen only by an endpoint that mints descriptors (a typed SFM
+// publisher — raw publishers only ever ship frames), on a node with a
+// store, for a subscriber that offered shm from the same boot (same
+// machine), and only while a peer lease slot is free. Every other
+// combination — and any failure — selects TCP. It returns the header fields to merge into
 // the handshake reply and, for shm, the sender granting this
 // connection's pubConn descriptor access.
 func (ep *pubEndpoint) negotiateShm(req map[string]string) (map[string]string, *shmSender) {
 	store := ep.node.shmStore
-	shmOK := ep.sfm && store != nil && req[hdrBootID] == shm.BootID()
+	capable := ep.sfm && !ep.raw && store != nil
+	shmOK := capable && req[hdrBootID] == shm.BootID()
 	if wire.NegotiateTransport(req[hdrTransports], shmOK) != wire.TransportNameShm {
 		// A subscriber that offered shm against a shm-capable endpoint
 		// but presented a different boot id lives on another machine (or
 		// across a reboot): a by-design TCP fallback, but counted so the
 		// fallback total always has an explanation.
-		if ep.sfm && store != nil && req[hdrBootID] != shm.BootID() &&
+		if capable && req[hdrBootID] != shm.BootID() &&
 			wire.OffersTransport(req[hdrTransports], wire.TransportNameShm) {
 			if st := ep.node.shmStats(); st != nil {
 				st.Fallbacks.Inc()
@@ -156,11 +147,9 @@ func shmItemFor[T any](c *pubConn, m *T) (it frameItem, promoted bool, outcome s
 	}
 	// Descriptors are per-connection (24 bytes), so there is nothing to
 	// share across the fan-out — stamping here just moves the trivial
-	// hash off the write loop.
-	if !legacyEgress.Load() {
-		t := [1]byte{tagDescriptor}
-		it.crc, it.crcOK = wire.Checksum2(t[:], it.data), true
-	}
+	// hash off the send loop.
+	t := [1]byte{tagDescriptor}
+	it.crc, it.crcOK = wire.Checksum2(t[:], it.data), true
 	return it, promoted, shmShared
 }
 
