@@ -37,6 +37,53 @@ type captureConn struct {
 func (c captureConn) Write(p []byte) (int, error)      { return c.buf.Write(p) }
 func (c captureConn) SetWriteDeadline(time.Time) error { return nil }
 
+// tapConn records both directions of a live connection as the side
+// that owns it sees them: the peer's bytes as they are read, its own as
+// they are written. Writes are recorded before they reach the socket,
+// so once the peer has received bytes they are always on record.
+type tapConn struct {
+	net.Conn
+	mu      sync.Mutex
+	in, out bytes.Buffer
+}
+
+func (c *tapConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.mu.Lock()
+	c.in.Write(p[:n])
+	c.mu.Unlock()
+	return n, err
+}
+
+func (c *tapConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	c.out.Write(p)
+	c.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
+// headers returns the connection header leading each direction: the
+// one read from the peer and the one written to it (each nil until
+// complete).
+func (c *tapConn) headers() (in, out []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return leadingHeader(c.in.Bytes()), leadingHeader(c.out.Bytes())
+}
+
+// leadingHeader returns a copy of the length-prefixed connection header
+// at the start of stream, or nil when it has not fully arrived.
+func leadingHeader(stream []byte) []byte {
+	if len(stream) < 4 {
+		return nil
+	}
+	n := 4 + int(binary.LittleEndian.Uint32(stream))
+	if len(stream) < n {
+		return nil
+	}
+	return append([]byte(nil), stream[:n]...)
+}
+
 // TestPublishSFMHashesOncePerFanout pins the single-pass checksum
 // property: an SFM publish fanning out to N TCP subscribers hashes the
 // arena exactly once (at publish time), and the write loop ships the
