@@ -271,7 +271,7 @@ func TestShardRebalanceChurn(t *testing.T) {
 		nInit  = 40
 		nJoin  = 12
 		phaseA = 10  // flow-controlled warm-up frames
-		total  = 400 // frames published in all
+		total  = 400 // frames published at least
 	)
 
 	pub, err := AdvertiseRaw(pubNode, "churn/out", "shard_test/Raw", "b0"+"0011223344556677889900112233", false, true,
@@ -360,16 +360,38 @@ func TestShardRebalanceChurn(t *testing.T) {
 
 	// Live phase: publish continuously (paced well below the writers'
 	// capacity so queue overflow stays out of the picture) while the
-	// victim subscribers leave and fresh ones join.
+	// victim subscribers leave and fresh ones join. The stream runs at
+	// least to total, and past it (up to twice that) until every joiner
+	// has received a frame: a joiner attaching after the final publish
+	// would otherwise wait for a tail that never comes. last is the final
+	// sequence.
 	var publishErr error
+	var last uint64
+	joined := make(chan struct{})
+	fed := func() bool {
+		select {
+		case <-joined:
+		default:
+			return false
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for _, r := range recs {
+			if r.count() == 0 {
+				return false
+			}
+		}
+		return true
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for seq := uint64(phaseA); seq < total; seq++ {
+		for seq := uint64(phaseA); seq < total || (seq < 2*total && !fed()); seq++ {
 			if err := pub.PublishFrame(shardFrame(seq, shardFrameSize(seq))); err != nil {
 				publishErr = err
 				return
 			}
+			last = seq
 			time.Sleep(300 * time.Microsecond)
 		}
 	}()
@@ -384,6 +406,7 @@ func TestShardRebalanceChurn(t *testing.T) {
 		time.Sleep(time.Duration(rnd.Intn(3)+1) * time.Millisecond)
 		addSub()
 	}
+	close(joined)
 	<-done
 	if publishErr != nil {
 		t.Fatalf("publish during churn: %v", publishErr)
@@ -400,7 +423,7 @@ func TestShardRebalanceChurn(t *testing.T) {
 				continue
 			}
 			seqs, _ := r.snapshot()
-			if len(seqs) == 0 || seqs[len(seqs)-1] != total-1 {
+			if len(seqs) == 0 || seqs[len(seqs)-1] != last {
 				return false
 			}
 		}
