@@ -157,9 +157,11 @@ type EgressStats struct {
 }
 
 // FieldwireStats instruments selective field transmission
-// (internal/fieldwire), registry-wide. MaskedSubscriptions counts mask
-// negotiations that succeeded (publisher side at accept, subscriber
-// side on entering the sparse pump — a process doing both counts both).
+// (internal/fieldwire), registry-wide. MaskedSubscriptions counts each
+// masked link once per side once it is live — the publisher after its
+// reply is written and the connection attached, the subscriber when its
+// handshake selects the sparse decoder — so a registry shared by both
+// ends of one link counts it twice.
 // BytesSaved is wire payload bytes NOT sent relative to full frames on
 // masked connections. Rejects break down by the stable reason strings
 // of fieldwire.RejectReason; DecodeErrors and MaskFallbacks instrument

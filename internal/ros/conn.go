@@ -1,38 +1,12 @@
 package ros
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
 	"net"
-	"time"
 
+	"rossf/internal/core"
 	"rossf/internal/shm"
 	"rossf/internal/wire"
 )
-
-// Connection-header keys, following TCPROS conventions with two
-// additions: "format" selects the wire regime (ros1 or sfm) and "endian"
-// carries the publisher's byte order for SFM frames (§4.4.1).
-const (
-	hdrTopic    = "topic"
-	hdrType     = "type"
-	hdrMD5      = "md5sum"
-	hdrCallerID = "callerid"
-	hdrFormat   = "format"
-	hdrEndian   = "endian"
-	hdrError    = "error"
-
-	formatROS1 = "ros1"
-	formatSFM  = "sfm"
-
-	endianLittle = "little"
-	endianBig    = "big"
-)
-
-// maxHeaderSize bounds connection headers; real TCPROS headers are tiny.
-const maxHeaderSize = 1 << 16
 
 // maxFrameSize bounds message frames on plain TCP connections (64 MiB,
 // the largest pooled arena class). The tight bound is what keeps
@@ -53,48 +27,6 @@ const maxFrameSize = 1 << 26
 // peers); that cross-machine path is the TZC roadmap item.
 const maxTaggedFrameSize = shm.MaxMessageBytes + 1
 
-// ErrHandshake reports a connection-header negotiation failure.
-var ErrHandshake = errors.New("ros: handshake failed")
-
-const handshakeTimeout = 5 * time.Second
-
-// nowPlusHandshake returns the deadline for a handshake exchange.
-func nowPlusHandshake() time.Time { return time.Now().Add(handshakeTimeout) }
-
-// zeroTime clears a connection deadline.
-func zeroTime() time.Time { return time.Time{} }
-
-// writeHeader sends a TCPROS-style connection header: u32 total size,
-// then per field u32 length + "key=value". Encoding lives in
-// internal/wire so the codec is shared and fuzzable.
-func writeHeader(conn net.Conn, fields map[string]string) error {
-	_, err := conn.Write(wire.AppendHeader(nil, fields))
-	return err
-}
-
-// readHeader receives a TCPROS-style connection header.
-func readHeader(conn net.Conn) (map[string]string, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(conn, lenBuf[:]); err != nil {
-		return nil, err
-	}
-	// Compare before the int conversion: a length with the top bit set
-	// must be rejected as oversized, not wrapped negative.
-	size := binary.LittleEndian.Uint32(lenBuf[:])
-	if size > maxHeaderSize {
-		return nil, fmt.Errorf("%w: header size %d exceeds limit", ErrHandshake, size)
-	}
-	body := make([]byte, int(size))
-	if _, err := io.ReadFull(conn, body); err != nil {
-		return nil, err
-	}
-	fields, err := wire.ParseHeader(body)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrHandshake, err)
-	}
-	return fields, nil
-}
-
 // writeFrame sends one checked message frame: a wire.FrameMagic header
 // carrying the payload length and CRC-32C, then the payload itself, as
 // a single vectored write — header and payload reach the socket in one
@@ -113,7 +45,7 @@ func writeFrame(conn net.Conn, payload []byte) error {
 // fold.
 type frameReader struct {
 	*wire.IngressReader
-	scratch    scratchBuf // payloads the batch cannot pin (see frame)
+	scratch    scratchBuf // payloads the batch cannot pin (see payload)
 	foldedSkip uint64     // resync bytes already folded into counters (skippedDelta)
 }
 
@@ -128,17 +60,35 @@ func newTaggedFrameReader(conn net.Conn) *frameReader {
 	return &frameReader{IngressReader: wire.NewIngressReader(conn, maxTaggedFrameSize)}
 }
 
-// frame returns the next n payload bytes: sliced in place out of the
-// batch buffer when they fit, else read into the reader's scratch.
-// Either way they are valid only until the next reader call, so callers
-// consume them (verify, decode, copy) before asking for more.
-func (fr *frameReader) frame(n int) ([]byte, error) {
-	p, ok, err := fr.Payload(n)
-	if ok || err != nil {
-		return p, err
+// payload reads the current frame's remaining n bytes and checks them
+// against crc, seeded with the checksum of the frame bytes already
+// consumed (a tag; 0 when none). With mgr set they land in a fresh
+// arena buffer; otherwise they are sliced in place out of the batch
+// buffer when they fit, else read into the reader's scratch, and stay
+// valid only until the next reader call. A damaged payload never
+// reaches a caller: it comes back as wire.ErrCorruptFrame with any
+// buffer discarded, and the stream stays usable.
+func (fr *frameReader) payload(n int, seed, crc uint32, mgr *core.Manager) (image, error) {
+	img := image{wire: n}
+	var err error
+	if mgr != nil {
+		img.buf = mgr.GetBuffer(n)
+		img.p = img.buf.Bytes()[:n]
+		err = fr.ReadFull(img.p)
+	} else if p, ok, perr := fr.Payload(n); ok || perr != nil {
+		img.p, err = p, perr
+	} else {
+		img.p = fr.scratch.take(n)
+		err = fr.ReadFull(img.p)
 	}
-	p = fr.scratch.take(n)
-	return p, fr.ReadFull(p)
+	if err == nil && wire.ChecksumUpdate(seed, img.p) != crc {
+		err = wire.ErrCorruptFrame
+	}
+	if err != nil {
+		img.discard()
+		return image{}, err
+	}
+	return img, nil
 }
 
 // skippedDelta reports the bytes discarded by resync since the previous
@@ -150,12 +100,4 @@ func (fr *frameReader) skippedDelta() uint64 {
 	d := s - fr.foldedSkip
 	fr.foldedSkip = s
 	return d
-}
-
-// nativeEndianName returns this process's byte order header value.
-func nativeEndianName(little bool) string {
-	if little {
-		return endianLittle
-	}
-	return endianBig
 }

@@ -1,7 +1,6 @@
 package ros
 
 import (
-	"fmt"
 	"net"
 
 	"rossf/internal/core"
@@ -27,33 +26,12 @@ func DialDrain(addr, topic, typeName, md5, callerID string, sfm bool) (net.Conn,
 	if err != nil {
 		return nil, err
 	}
-	format := formatROS1
-	if sfm {
-		format = formatSFM
-	}
-	conn.SetDeadline(nowPlusHandshake())
-	fields := map[string]string{
-		hdrTopic:    topic,
-		hdrType:     typeName,
-		hdrMD5:      md5,
-		hdrCallerID: callerID,
-		hdrFormat:   format,
-		hdrEndian:   nativeEndianName(core.NativeLittleEndian()),
-	}
-	if err := writeHeader(conn, fields); err != nil {
+	id := identity{topic: topic, typeName: typeName, md5: md5, callerID: callerID,
+		sfm: sfm, little: core.NativeLittleEndian()}
+	if _, err := dialHandshake(conn, id, nil); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	reply, err := readHeader(conn)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if msg, bad := reply[hdrError]; bad {
-		conn.Close()
-		return nil, fmt.Errorf("ros: publisher rejected drain handshake: %s", msg)
-	}
-	conn.SetDeadline(zeroTime())
 	return conn, nil
 }
 

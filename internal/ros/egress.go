@@ -175,14 +175,7 @@ func newBatch(enc frameEncoder, mask *fieldwire.Mask, maxFrames, maxBytes int) *
 // newEgressBatch builds a dedicated connection's batch, its encoder
 // chosen from what the connection negotiated.
 func newEgressBatch(pc *pubConn) *egressBatch {
-	enc := encodePlain
-	switch {
-	case pc.mask != nil:
-		enc = encodeSparse
-	case pc.shm != nil:
-		enc = encodeTagged
-	}
-	b := newBatch(enc, pc.mask, maxBatchFrames, maxBatchBytes)
+	b := newBatch(pc.encoder(), pc.mask, maxBatchFrames, maxBatchBytes)
 	b.pc, b.egress, b.fw = pc, pc.egress, pc.fw
 	return b
 }

@@ -986,11 +986,12 @@ func TestRawPublisherGrantsNoShm(t *testing.T) {
 	}
 	defer rp.Close()
 
-	reply, sender := rp.ep.negotiateShm(map[string]string{
+	reply := map[string]string{}
+	sender, _ := rp.ep.answerOffers(map[string]string{
 		hdrTransports: wire.TransportNameShm + "," + wire.TransportNameTCP,
-		hdrPID:        pidString(),
+		hdrPID:        strconv.Itoa(os.Getpid()),
 		hdrBootID:     shm.BootID(),
-	})
+	}, reply)
 	if sender != nil {
 		store.RetirePeer(sender.peer)
 	}

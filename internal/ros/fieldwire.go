@@ -19,34 +19,19 @@ import (
 // field reads as a typed empty value (zero scalar, empty string/vector
 // descriptor), never as garbage.
 //
-// Negotiation rides the existing connection header: the subscriber
-// offers "fields" (comma-joined dotted paths); a publisher that can
-// serve the mask answers "fieldwire: v1", one that cannot — old build,
-// unknown field, variable-length tail, raw/ROS1 endpoint — omits the
-// key (or names the reason in "fieldsreject") and the connection
-// carries full frames, so mixed fleets always converge. Shared memory
-// outranks field masking: a link that negotiated shm already moves
-// descriptors, not payload bytes.
-const (
-	// hdrFields is the subscriber's offer: comma-joined dotted field
-	// paths ("header.stamp,header.frame_id"). Publishers that predate
-	// field-wire ignore the unknown key, which is the universal
-	// fallback.
-	hdrFields = "fields"
-	// hdrFieldwire is the publisher's acceptance, valued fieldwireV1.
-	hdrFieldwire = "fieldwire"
-	// hdrFieldwireReject carries the publisher's reject reason (one of
-	// the fieldwire.Reason* strings) for diagnosis; the connection
-	// proceeds with full frames either way.
-	hdrFieldwireReject = "fieldsreject"
-	// fieldwireV1 names the sparse encoding of internal/fieldwire.
-	fieldwireV1 = "v1"
-	// fieldsFallbackAfter is how many consecutive undecodable sparse
-	// payloads a masked link tolerates before it redials without the
-	// fields offer — the decode-failure analogue of the shm setup
-	// fallback.
-	fieldsFallbackAfter = 8
-)
+// Negotiation rides the connection header (handshake.go): the
+// subscriber offers "fields" (comma-joined dotted paths); a publisher
+// that can serve the mask answers "fieldwire: v1", one that cannot —
+// old build, unknown field, variable-length tail, raw/ROS1 endpoint —
+// omits the key (or names the reason in "fieldsreject") and the
+// connection carries full frames, so mixed fleets always converge.
+// Shared memory outranks field masking: a link that negotiated shm
+// already moves descriptors, not payload bytes.
+
+// fieldsFallbackAfter is how many consecutive undecodable sparse
+// payloads a masked link tolerates before it redials without the
+// fields offer — the decode-failure analogue of the shm setup fallback.
+const fieldsFallbackAfter = 8
 
 // WithFields declares the dotted field paths this subscription reads
 // (e.g. "header.stamp", "header.frame_id"). On SFM topics whose

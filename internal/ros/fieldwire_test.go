@@ -323,3 +323,49 @@ func TestWithFieldsRequiresSFMType(t *testing.T) {
 		t.Fatal("Subscribe accepted WithFields on a serializable type")
 	}
 }
+
+// TestMaskedSubscriptionsCountsEachSide: masked_subscriptions counts a
+// live masked link once on each side, so a process that only
+// subscribes reports its masked links too.
+func TestMaskedSubscriptionsCountsEachSide(t *testing.T) {
+	m := ros.NewLocalMaster()
+	pubReg, subReg := obs.NewRegistry(), obs.NewRegistry()
+	pubNode := newMetricNode(t, "pub", m, pubReg)
+	subNode := newMetricNode(t, "sub", m, subReg)
+
+	got := make(chan uint32, 1)
+	sub, err := ros.Subscribe(subNode, "mask/count", func(img *sensor_msgs.ImageSF) {
+		got <- img.Header.Seq
+	}, ros.WithTransport(ros.TransportTCP), ros.WithFields("header.seq"))
+	if err != nil {
+		t.Fatalf("Subscribe: %v", err)
+	}
+	defer sub.Close()
+	pub, err := ros.Advertise[sensor_msgs.ImageSF](pubNode, "mask/count")
+	if err != nil {
+		t.Fatalf("Advertise: %v", err)
+	}
+	defer pub.Close()
+	eventually(t, "masked subscriber connection", func() bool { return pub.NumSubscribers() == 1 })
+
+	// A delivered sparse frame proves the link is live on both sides.
+	img := newMaskImage(t, 3, 1024)
+	if err := pub.Publish(img); err != nil {
+		t.Fatalf("Publish: %v", err)
+	}
+	core.Release(img)
+	select {
+	case seq := <-got:
+		if seq != 3 {
+			t.Fatalf("seq = %d, want 3", seq)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no masked message received")
+	}
+	if n := subReg.Snapshot().Fieldwire.MaskedSubscriptions; n != 1 {
+		t.Errorf("subscriber-side masked_subscriptions = %d, want 1", n)
+	}
+	if n := pubReg.Snapshot().Fieldwire.MaskedSubscriptions; n != 1 {
+		t.Errorf("publisher-side masked_subscriptions = %d, want 1", n)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"sync"
+	"time"
 
 	"rossf/internal/obs"
 	"rossf/internal/shm"
@@ -231,36 +232,26 @@ func (n *Node) acceptLoop() {
 // subscriptions attach to the topic's endpoint, service calls (header
 // carries "service") run their request loop on this goroutine.
 func (n *Node) serveSubscriber(conn net.Conn) {
-	conn.SetDeadline(nowPlusHandshake())
+	conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	req, err := readHeader(conn)
 	if err != nil {
 		conn.Close()
 		return
 	}
-
+	n.mu.Lock()
+	svc, ep := n.services[req[hdrService]], n.pubs[req[hdrTopic]]
+	n.mu.Unlock()
 	if svcName, isService := req[hdrService]; isService {
-		n.mu.Lock()
-		svc := n.services[svcName]
-		n.mu.Unlock()
 		if svc == nil {
-			writeHeader(conn, map[string]string{
-				hdrError: fmt.Sprintf("node %s does not serve %q", n.name, svcName),
-			})
-			conn.Close()
-			return
+			reject(conn, fmt.Sprintf("node %s does not serve %q", n.name, svcName))
+		} else {
+			svc.serveCall(conn, req) //nolint:errcheck // handshake errors already answered the peer
 		}
-		svc.serveCall(conn, req) //nolint:errcheck // handshake errors already answered the peer
 		conn.Close()
 		return
 	}
-
-	n.mu.Lock()
-	ep := n.pubs[req[hdrTopic]]
-	n.mu.Unlock()
 	if ep == nil {
-		writeHeader(conn, map[string]string{
-			hdrError: fmt.Sprintf("node %s does not publish topic %q", n.name, req[hdrTopic]),
-		})
+		reject(conn, fmt.Sprintf("node %s does not publish topic %q", n.name, req[hdrTopic]))
 		conn.Close()
 		return
 	}

@@ -99,41 +99,34 @@ func Advertise[T any](n *Node, topic string, opts ...PubOption) (*Publisher[T], 
 	if !sfm && !isSerializableType[T]() {
 		return nil, fmt.Errorf("ros: type %T implements neither Serializable nor SFMessage", new(T))
 	}
+	ep := &pubEndpoint{topic: topic, typeName: typeName, md5: md5, sfm: sfm}
+	if err := ep.advertise(n, opts); err != nil {
+		return nil, err
+	}
+	return &Publisher[T]{ep: ep}, nil
+}
+
+// advertise completes an endpoint built from its binding with the
+// options, then registers it with the node and the master.
+func (ep *pubEndpoint) advertise(n *Node, opts []PubOption) error {
 	cfg := pubConfig{queueSize: defaultQueueSize, writeTimeout: defaultWriteTimeout}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	ep := &pubEndpoint{
-		node:         n,
-		topic:        topic,
-		typeName:     typeName,
-		md5:          md5,
-		sfm:          sfm,
-		queueSize:    cfg.queueSize,
-		latch:        cfg.latch,
-		writeTimeout: cfg.writeTimeout,
-		egressShards: cfg.egressShards,
-		stats:        n.metrics.Publisher(topic),
-		conns:        make(map[*pubConn]struct{}),
-		inproc:       make(map[*sink]uint64),
+	ep.node, ep.stats = n, n.metrics.Publisher(ep.topic)
+	ep.queueSize, ep.latch, ep.writeTimeout, ep.egressShards = cfg.queueSize, cfg.latch, cfg.writeTimeout, cfg.egressShards
+	ep.conns, ep.inproc = make(map[*pubConn]struct{}), make(map[*sink]uint64)
+	if err := n.registerPub(ep.topic, ep); err != nil {
+		return err
 	}
-	if err := n.registerPub(topic, ep); err != nil {
-		return nil, err
-	}
-	unregister, err := n.master.RegisterPublisher(topic, PublisherInfo{
-		NodeName: n.name,
-		Addr:     n.addr,
-		TypeName: typeName,
-		MD5:      md5,
-		Relay:    cfg.relay,
-		direct:   ep,
-	})
+	unregister, err := n.master.RegisterPublisher(ep.topic, PublisherInfo{NodeName: n.name, Addr: n.addr,
+		TypeName: ep.typeName, MD5: ep.md5, Relay: cfg.relay, direct: ep})
 	if err != nil {
-		n.unregisterPub(topic)
-		return nil, err
+		n.unregisterPub(ep.topic)
+		return err
 	}
 	ep.unregister = unregister
-	return &Publisher[T]{ep: ep}, nil
+	return nil
 }
 
 // Topic returns the advertised topic name.
@@ -312,7 +305,7 @@ func (ep *pubEndpoint) fanout(out outMsg, l *latchedMsg) error {
 }
 
 // itemFor mints c's queue item for one publish. Only typed SFM
-// endpoints grant shm (negotiateShm), so an shm link always has an
+// endpoints grant shm (answerOffers), so an shm link always has an
 // arena message: the subscriber gets a 24-byte descriptor into the
 // shared slot the message lives in — natively, or via a copy-once
 // promotion for heap-backed arenas. Every other link gets a view of
@@ -634,61 +627,24 @@ func (ep *pubEndpoint) shardFanout() int {
 	return p.memberCount()
 }
 
-// acceptConn completes the publisher side of the subscriber handshake.
+// acceptConn completes the publisher side of the subscriber handshake:
+// the identity check, the answers to the offers, the reply, and the
+// connection's attachment — to a shard when its encoder is plain, to a
+// dedicated send loop otherwise.
 func (ep *pubEndpoint) acceptConn(conn net.Conn, req map[string]string) error {
-	fail := func(msg string) error {
-		writeHeader(conn, map[string]string{hdrError: msg})
-		return fmt.Errorf("%w: %s", ErrHandshake, msg)
+	id := identity{topic: ep.topic, typeName: ep.typeName, md5: ep.md5, callerID: ep.node.name,
+		sfm: ep.sfm, little: ep.littleEndian()}
+	if msg := id.mismatch(req); msg != "" {
+		return reject(conn, msg)
 	}
-	if req[hdrType] != ep.typeName {
-		return fail(fmt.Sprintf("topic %q is %s, subscriber wants %s", ep.topic, ep.typeName, req[hdrType]))
-	}
-	if req[hdrMD5] != ep.md5 {
-		return fail(fmt.Sprintf("md5 mismatch on %q: %s vs %s", ep.topic, ep.md5, req[hdrMD5]))
-	}
-	wantFormat := formatROS1
-	if ep.sfm {
-		wantFormat = formatSFM
-	}
-	if req[hdrFormat] != wantFormat {
-		return fail(fmt.Sprintf("format mismatch on %q: publisher %s, subscriber %s",
-			ep.topic, wantFormat, req[hdrFormat]))
-	}
-	reply := map[string]string{
-		hdrType:     ep.typeName,
-		hdrMD5:      ep.md5,
-		hdrCallerID: ep.node.name,
-		hdrFormat:   wantFormat,
-		hdrEndian:   nativeEndianName(ep.littleEndian()),
-	}
-	shmFields, sender := ep.negotiateShm(req)
-	for k, v := range shmFields {
-		reply[k] = v
-	}
-	// Field-mask negotiation: only SFM topics can slice, and shm wins —
-	// a descriptor-moving link has nothing left to save. A reject names
-	// its reason in the reply and the connection proceeds full-frame.
-	var mask *fieldwire.Mask
-	if list := req[hdrFields]; list != "" && ep.sfm && sender == nil {
-		m, merr := ep.resolveFieldMask(list)
-		if merr != nil {
-			reply[hdrFieldwireReject] = fieldwire.RejectReason(merr)
-			ep.noteMaskReject(merr)
-		} else {
-			reply[hdrFieldwire] = fieldwireV1
-			mask = m
-			if fw := ep.node.fieldwireStats(); fw != nil {
-				fw.MaskedSubscriptions.Inc()
-			}
-		}
-	}
-	if err := writeHeader(conn, reply); err != nil {
+	reply := id.header(false)
+	sender, mask := ep.answerOffers(req, reply)
+	if err := writeReply(conn, reply); err != nil {
 		if sender != nil {
 			sender.store.RetirePeer(sender.peer)
 		}
 		return err
 	}
-	conn.SetDeadline(time.Time{})
 
 	pc := &pubConn{
 		conn:         conn,
@@ -709,14 +665,14 @@ func (ep *pubEndpoint) acceptConn(conn net.Conn, req map[string]string) error {
 		}
 		return errors.New("ros: publisher closed")
 	}
-	// Shard routing: plain TCP connections go to the pool once it is (or
-	// should be) live; shm connections always keep a dedicated loop, as
-	// their descriptors are per-peer, and so do mask-negotiated ones,
+	// Shard routing: plain-encoded connections go to the pool once it is
+	// (or should be) live; shm connections always keep a dedicated loop,
+	// as their descriptors are per-peer, and so do mask-negotiated ones,
 	// whose frames are encoded per connection. The join, the latch
 	// enqueue and the pool bring-up all happen inside this critical
 	// section, so a concurrent publish either precedes the join (lastSeq
 	// covers it) or follows the latch in the shard's queue.
-	if sender == nil && mask == nil && ep.egressShards >= 0 &&
+	if pc.encoder() == encodePlain && ep.egressShards >= 0 &&
 		(ep.pool != nil || ep.egressShards > 0 || len(ep.conns) >= autoShardThreshold) {
 		if ep.pool == nil {
 			n := ep.egressShards
@@ -740,6 +696,9 @@ func (ep *pubEndpoint) acceptConn(conn net.Conn, req map[string]string) error {
 	pc.ch = make(chan frameItem, ep.queueSize)
 	ep.conns[pc] = struct{}{}
 	ep.mu.Unlock()
+	if pc.fw != nil && mask != nil {
+		pc.fw.MaskedSubscriptions.Inc() // the masked link is live
+	}
 
 	ep.wg.Add(1)
 	go func() {
@@ -933,6 +892,18 @@ func (pc *pubConn) enqueue(it frameItem) {
 		default:
 		}
 	}
+}
+
+// encoder is how this connection frames its messages, fixed by what
+// its handshake negotiated: a field mask, an shm grant, or neither.
+func (pc *pubConn) encoder() frameEncoder {
+	switch {
+	case pc.mask != nil:
+		return encodeSparse
+	case pc.shm != nil:
+		return encodeTagged
+	}
+	return encodePlain
 }
 
 // writeLoop is the connection's send loop (egress.go), its encoder

@@ -185,9 +185,9 @@ func (p *pump) decode(n int, crc uint32) (image, error) {
 		}
 		switch {
 		case tag[0] == tagInline:
-			return p.payload(n-1, wire.Checksum(tag[:]), crc, true)
+			return p.fr.payload(n-1, wire.Checksum(tag[:]), crc, p.sink.mgr)
 		case tag[0] == tagDescriptor && n-1 == shm.DescriptorSize:
-			img, err := p.payload(n-1, wire.Checksum(tag[:]), crc, false)
+			img, err := p.fr.payload(n-1, wire.Checksum(tag[:]), crc, nil)
 			if err != nil {
 				return img, err
 			}
@@ -200,37 +200,13 @@ func (p *pump) decode(n int, crc uint32) (image, error) {
 		}
 		return image{}, wire.ErrCorruptFrame
 	case decodeSparse:
-		img, err := p.payload(n, 0, crc, false)
+		img, err := p.fr.payload(n, 0, crc, nil)
 		if err != nil {
 			return img, err
 		}
 		return p.materialize(img.p)
 	}
-	return p.payload(n, 0, crc, p.sink.mgr != nil)
-}
-
-// payload reads the frame's remaining n bytes — into a fresh arena
-// buffer when toArena, else in place — and checks them against crc:
-// a corrupted image never reaches adoption. seed is the checksum of
-// the frame bytes already consumed (the tag), 0 when there are none.
-func (p *pump) payload(n int, seed, crc uint32, toArena bool) (image, error) {
-	img := image{wire: n}
-	var err error
-	if toArena {
-		img.buf = p.sink.mgr.GetBuffer(n)
-		img.p = img.buf.Bytes()[:n]
-		err = p.fr.ReadFull(img.p)
-	} else {
-		img.p, err = p.fr.frame(n)
-	}
-	if err == nil && wire.ChecksumUpdate(seed, img.p) != crc {
-		err = wire.ErrCorruptFrame
-	}
-	if err != nil {
-		img.discard()
-		return image{}, err
-	}
-	return img, nil
+	return p.fr.payload(n, 0, crc, p.sink.mgr)
 }
 
 // resolve maps a verified descriptor to the shared bytes it names,
@@ -267,7 +243,7 @@ func (p *pump) materialize(payload []byte) (image, error) {
 			p.fw.DecodeErrors.Inc()
 		}
 		if p.badStreak++; p.badStreak >= fieldsFallbackAfter {
-			p.sc.disableFields()
+			p.sc.decline(offerFields)
 			if p.fw != nil {
 				p.fw.MaskFallbacks.Inc()
 			}

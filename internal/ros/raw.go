@@ -32,31 +32,11 @@ func SubscribeRaw(n *Node, topic, typeName, md5 string, sfm bool,
 	if len(cfg.fields) > 0 && !sfm {
 		return nil, errors.New("ros: WithFields requires the sfm wire regime")
 	}
-	s := &Subscriber{
-		node:      n,
-		topic:     topic,
-		typeName:  typeName,
-		md5:       md5,
-		retry:     cfg.retry.withDefaults(),
-		connState: cfg.connState,
-		noRelay:   cfg.noRelay,
-		fields:    cfg.fields,
-		stats:     n.metrics.Subscriber(topic),
-		conns:     make(map[string]*subConn),
-		inproc:    make(map[*pubEndpoint]struct{}),
-	}
+	s := newSubscriber(n, topic, typeName, md5, cfg)
 	s.sink = rawSink(s, sfm, cb)
-	if err := n.registerSub(s); err != nil {
+	if err := s.watch(TransportTCP); err != nil {
 		return nil, err
 	}
-	cancel, err := n.master.WatchPublishers(topic, typeName, md5, func(pubs []PublisherInfo) {
-		s.onPublishers(pubs, TransportTCP)
-	})
-	if err != nil {
-		n.unregisterSub(s)
-		return nil, err
-	}
-	s.cancelWatch = cancel
 	return s, nil
 }
 
@@ -72,38 +52,11 @@ type RawPublisher struct {
 // frame-level publisher.
 func AdvertiseRaw(n *Node, topic, typeName, md5 string, sfm, littleEndian bool,
 	opts ...PubOption) (*RawPublisher, error) {
-	cfg := pubConfig{queueSize: defaultQueueSize, writeTimeout: defaultWriteTimeout}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	ep := &pubEndpoint{
-		node:         n,
-		topic:        topic,
-		typeName:     typeName,
-		md5:          md5,
-		sfm:          sfm,
-		queueSize:    cfg.queueSize,
-		latch:        cfg.latch,
-		writeTimeout: cfg.writeTimeout,
-		egressShards: cfg.egressShards,
-		endianName:   nativeEndianName(littleEndian),
-		raw:          true,
-		stats:        n.metrics.Publisher(topic),
-		conns:        make(map[*pubConn]struct{}),
-		inproc:       make(map[*sink]uint64),
-	}
-	if err := n.registerPub(topic, ep); err != nil {
+	ep := &pubEndpoint{topic: topic, typeName: typeName, md5: md5, sfm: sfm,
+		endianName: nativeEndianName(littleEndian), raw: true}
+	if err := ep.advertise(n, opts); err != nil {
 		return nil, err
 	}
-	unregister, err := n.master.RegisterPublisher(topic, PublisherInfo{
-		NodeName: n.name, Addr: n.addr, TypeName: typeName, MD5: md5,
-		Relay: cfg.relay, direct: ep,
-	})
-	if err != nil {
-		n.unregisterPub(topic)
-		return nil, err
-	}
-	ep.unregister = unregister
 	return &RawPublisher{ep: ep}, nil
 }
 

@@ -20,12 +20,6 @@ import (
 // response frame, as in ROS1's service protocol. Both regimes work:
 // serialization-free requests and responses travel as arena bytes.
 
-const (
-	hdrService = "service"
-	hdrReqType = "request_type"
-	hdrRspType = "response_type"
-)
-
 // ErrServiceNotFound reports an unresolvable service name.
 var ErrServiceNotFound = errors.New("ros: service not found")
 
@@ -48,17 +42,15 @@ type ServiceServer struct {
 func (s *ServiceServer) Close() { s.ep.close() }
 
 // Name returns the service name.
-func (s *ServiceServer) Name() string { return s.ep.name }
+func (s *ServiceServer) Name() string { return s.ep.id.service }
 
 // serviceEndpoint is the type-erased per-service server state.
 type serviceEndpoint struct {
-	node       *Node
-	name       string
-	reqType    string
-	respType   string
-	md5        string
-	sfm        bool
-	handle     func(reqFrame []byte, srcLittle bool) (respFrame []byte, release func(), err error)
+	node *Node
+	id   identity // the service's binding, as its handshake declares it
+	// handle serves one verified request image: an arena buffer the
+	// handler adopts (SFM), or bytes valid for the call (ROS1).
+	handle     func(req image, srcLittle bool) (respFrame []byte, release func(), err error)
 	unregister func()
 	stats      *obs.ServiceStats // nil when the node's metrics are disabled
 
@@ -79,33 +71,21 @@ type serviceEndpoint struct {
 // after transmission).
 func AdvertiseService[Req, Resp any](n *Node, name string,
 	handler func(*Req) (*Resp, error)) (*ServiceServer, error) {
-	reqType, reqMD5, ok := typeInfoOf[Req]()
-	if !ok {
-		return nil, fmt.Errorf("ros: request type %T is not a message", new(Req))
-	}
-	respType, respMD5, ok := typeInfoOf[Resp]()
-	if !ok {
-		return nil, fmt.Errorf("ros: response type %T is not a message", new(Resp))
-	}
-	reqSFM, respSFM := isSFMType[Req](), isSFMType[Resp]()
-	if reqSFM != respSFM {
-		return nil, fmt.Errorf("ros: request and response must share a wire regime")
+	id, err := serviceIdentity[Req, Resp](name, n.name)
+	if err != nil {
+		return nil, err
 	}
 	if n.addr == "" {
 		return nil, errors.New("ros: serving requires a node listener")
 	}
 
 	ep := &serviceEndpoint{
-		node:     n,
-		name:     name,
-		reqType:  reqType,
-		respType: respType,
-		md5:      reqMD5 + respMD5,
-		sfm:      reqSFM,
-		stats:    n.metrics.Service(name),
-		conns:    make(map[net.Conn]struct{}),
+		node:  n,
+		id:    id,
+		stats: n.metrics.Service(name),
+		conns: make(map[net.Conn]struct{}),
 	}
-	if reqSFM {
+	if id.sfm {
 		layout, err := core.LayoutOf[Req]()
 		if err != nil {
 			return nil, err
@@ -123,7 +103,7 @@ func AdvertiseService[Req, Resp any](n *Node, name string,
 	}
 	unregister, err := n.master.RegisterService(name, ServiceInfo{
 		NodeName: n.name, Addr: n.addr,
-		ReqType: reqType, RespType: respType, MD5: ep.md5,
+		ReqType: id.reqType, RespType: id.respType, MD5: id.md5,
 	})
 	if err != nil {
 		n.unregisterService(name)
@@ -133,12 +113,31 @@ func AdvertiseService[Req, Resp any](n *Node, name string,
 	return &ServiceServer{ep: ep}, nil
 }
 
+// serviceIdentity reads a service's binding off its request and
+// response types, which must be messages of one wire regime.
+func serviceIdentity[Req, Resp any](name, callerID string) (identity, error) {
+	reqType, reqMD5, ok := typeInfoOf[Req]()
+	if !ok {
+		return identity{}, fmt.Errorf("ros: request type %T is not a message", new(Req))
+	}
+	respType, respMD5, ok := typeInfoOf[Resp]()
+	if !ok {
+		return identity{}, fmt.Errorf("ros: response type %T is not a message", new(Resp))
+	}
+	sfm := isSFMType[Req]()
+	if sfm != isSFMType[Resp]() {
+		return identity{}, errors.New("ros: request and response must share a wire regime")
+	}
+	return identity{service: name, reqType: reqType, respType: respType, md5: reqMD5 + respMD5,
+		callerID: callerID, sfm: sfm, little: core.NativeLittleEndian()}, nil
+}
+
 // regularServiceHandler wraps a handler over the ROS1 pipeline.
-func regularServiceHandler[Req, Resp any](handler func(*Req) (*Resp, error)) func([]byte, bool) ([]byte, func(), error) {
-	return func(reqFrame []byte, _ bool) ([]byte, func(), error) {
+func regularServiceHandler[Req, Resp any](handler func(*Req) (*Resp, error)) func(image, bool) ([]byte, func(), error) {
+	return func(reqImg image, _ bool) ([]byte, func(), error) {
 		req := new(Req)
 		s, _ := any(req).(Serializable)
-		if err := s.DeserializeROS(wire.NewReader(reqFrame)); err != nil {
+		if err := s.DeserializeROS(wire.NewReader(reqImg.p)); err != nil {
 			return nil, nil, fmt.Errorf("malformed request: %v", err)
 		}
 		resp, err := handler(req)
@@ -158,19 +157,17 @@ func regularServiceHandler[Req, Resp any](handler func(*Req) (*Resp, error)) fun
 }
 
 // sfmServiceHandler wraps a handler over the serialization-free
-// pipeline: the request buffer is adopted, the response's arena bytes
-// are the reply frame.
-func sfmServiceHandler[Req, Resp any](handler func(*Req) (*Resp, error), layout *core.Layout) func([]byte, bool) ([]byte, func(), error) {
-	return func(reqFrame []byte, srcLittle bool) ([]byte, func(), error) {
-		buf := core.Default().GetBuffer(len(reqFrame))
-		copy(buf.Bytes(), reqFrame)
-		if err := core.ConvertEndianness(buf.Bytes()[:len(reqFrame)], layout, srcLittle); err != nil {
-			buf.Discard()
+// pipeline: the request's arena buffer is adopted, the response's arena
+// bytes are the reply frame.
+func sfmServiceHandler[Req, Resp any](handler func(*Req) (*Resp, error), layout *core.Layout) func(image, bool) ([]byte, func(), error) {
+	return func(reqImg image, srcLittle bool) ([]byte, func(), error) {
+		if err := core.ConvertEndianness(reqImg.p, layout, srcLittle); err != nil {
+			reqImg.discard()
 			return nil, nil, err
 		}
-		req, err := core.Adopt[Req](buf, len(reqFrame))
+		req, err := core.Adopt[Req](reqImg.buf, len(reqImg.p))
 		if err != nil {
-			buf.Discard()
+			reqImg.discard()
 			return nil, nil, err
 		}
 		resp, err := handler(req)
@@ -203,35 +200,15 @@ func writeStatusFrame(conn net.Conn, status byte, payload []byte) error {
 	return err
 }
 
-// serveCall runs the per-connection request loop.
+// serveCall completes the service side of the handshake, then runs the
+// per-connection request loop.
 func (ep *serviceEndpoint) serveCall(conn net.Conn, req map[string]string) error {
-	fail := func(msg string) error {
-		writeHeader(conn, map[string]string{hdrError: msg})
-		return fmt.Errorf("%w: %s", ErrHandshake, msg)
+	if msg := ep.id.mismatch(req); msg != "" {
+		return reject(conn, msg)
 	}
-	if req[hdrReqType] != ep.reqType || req[hdrRspType] != ep.respType {
-		return fail(fmt.Sprintf("service %q is %s->%s", ep.name, ep.reqType, ep.respType))
-	}
-	if req[hdrMD5] != ep.md5 {
-		return fail(fmt.Sprintf("md5 mismatch on service %q", ep.name))
-	}
-	wantFormat := formatROS1
-	if ep.sfm {
-		wantFormat = formatSFM
-	}
-	if req[hdrFormat] != wantFormat {
-		return fail(fmt.Sprintf("format mismatch on service %q", ep.name))
-	}
-	err := writeHeader(conn, map[string]string{
-		hdrCallerID: ep.node.name,
-		hdrMD5:      ep.md5,
-		hdrFormat:   wantFormat,
-		hdrEndian:   nativeEndianName(core.NativeLittleEndian()),
-	})
-	if err != nil {
+	if err := writeReply(conn, ep.id.header(false)); err != nil {
 		return err
 	}
-	conn.SetDeadline(time.Time{})
 	srcLittle := req[hdrEndian] != endianBig
 
 	ep.mu.Lock()
@@ -249,32 +226,34 @@ func (ep *serviceEndpoint) serveCall(conn net.Conn, req map[string]string) error
 
 	fr := newFrameReader(conn)
 	defer fr.Release()
+	var mgr *core.Manager // SFM requests land straight in an arena
+	if ep.id.sfm {
+		mgr = core.Default()
+	}
 	for {
 		n, crc, err := fr.Next()
 		if err != nil {
 			return nil // client hung up
 		}
-		// Handlers consume the request before the next reader call
-		// (deserialize or copy-to-arena), so the frame's in-place bytes
-		// are safe to hand over.
-		frame, err := fr.frame(n)
-		if err != nil {
-			return nil
-		}
-		var respFrame []byte
-		var release func()
-		var herr error
 		var t0 time.Time
 		if ep.stats != nil {
 			t0 = time.Now()
 		}
-		if wire.Checksum(frame) != crc {
+		// Handlers consume the request before the next reader call
+		// (deserialize in place, or adopt the arena).
+		reqImg, herr := fr.payload(n, 0, crc, mgr)
+		var respFrame []byte
+		var release func()
+		switch herr {
+		case nil:
+			respFrame, release, herr = ep.handle(reqImg, srcLittle)
+		case wire.ErrCorruptFrame:
 			// The request arrived damaged; tell the caller rather than
 			// handing garbage to the handler. The connection stays up —
 			// the next header is re-validated by magic.
 			herr = errors.New("corrupt request frame")
-		} else {
-			respFrame, release, herr = ep.handle(frame, srcLittle)
+		default:
+			return nil
 		}
 		if st := ep.stats; st != nil {
 			st.Calls.Inc()
@@ -286,21 +265,18 @@ func (ep *serviceEndpoint) serveCall(conn net.Conn, req map[string]string) error
 		// A wedged or vanished caller must not pin this goroutine in a
 		// blocked Write forever.
 		conn.SetWriteDeadline(time.Now().Add(defaultWriteTimeout))
+		status := byte(1)
 		if herr != nil {
-			if err := writeStatusFrame(conn, 0, []byte(herr.Error())); err != nil {
-				return nil
-			}
-			conn.SetWriteDeadline(zeroTime())
-			continue
+			status, respFrame = 0, []byte(herr.Error())
 		}
-		werr := writeStatusFrame(conn, 1, respFrame)
+		werr := writeStatusFrame(conn, status, respFrame)
 		if release != nil {
 			release()
 		}
 		if werr != nil {
 			return nil
 		}
-		conn.SetWriteDeadline(zeroTime())
+		conn.SetWriteDeadline(time.Time{})
 	}
 }
 
@@ -323,7 +299,7 @@ func (ep *serviceEndpoint) close() {
 	if ep.unregister != nil {
 		ep.unregister()
 	}
-	ep.node.unregisterService(ep.name)
+	ep.node.unregisterService(ep.id.service)
 	ep.wg.Wait()
 }
 
@@ -349,19 +325,10 @@ func (c *ServiceClient[Req, Resp]) SetCallTimeout(d time.Duration) { c.timeout =
 
 // NewServiceClient resolves and connects to a service.
 func NewServiceClient[Req, Resp any](n *Node, name string) (*ServiceClient[Req, Resp], error) {
-	reqType, reqMD5, ok := typeInfoOf[Req]()
-	if !ok {
-		return nil, fmt.Errorf("ros: request type %T is not a message", new(Req))
+	id, err := serviceIdentity[Req, Resp](name, n.name)
+	if err != nil {
+		return nil, err
 	}
-	respType, respMD5, ok := typeInfoOf[Resp]()
-	if !ok {
-		return nil, fmt.Errorf("ros: response type %T is not a message", new(Resp))
-	}
-	sfm := isSFMType[Req]()
-	if sfm != isSFMType[Resp]() {
-		return nil, fmt.Errorf("ros: request and response must share a wire regime")
-	}
-
 	info, found, err := n.master.LookupService(name)
 	if err != nil {
 		return nil, err
@@ -373,43 +340,20 @@ func NewServiceClient[Req, Resp any](n *Node, name string) (*ServiceClient[Req, 
 	if err != nil {
 		return nil, err
 	}
-	format := formatROS1
-	if sfm {
-		format = formatSFM
-	}
-	conn.SetDeadline(nowPlusHandshake())
-	err = writeHeader(conn, map[string]string{
-		hdrService:  name,
-		hdrReqType:  reqType,
-		hdrRspType:  respType,
-		hdrMD5:      reqMD5 + respMD5,
-		hdrCallerID: n.name,
-		hdrFormat:   format,
-		hdrEndian:   nativeEndianName(core.NativeLittleEndian()),
-	})
+	reply, err := dialHandshake(conn, id, nil)
 	if err != nil {
 		conn.Close()
 		return nil, err
 	}
-	reply, err := readHeader(conn)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if msg, bad := reply[hdrError]; bad {
-		conn.Close()
-		return nil, fmt.Errorf("%w: %s", ErrHandshake, msg)
-	}
-	conn.SetDeadline(zeroTime())
 
 	c := &ServiceClient[Req, Resp]{
 		name:   name,
 		conn:   conn,
 		fr:     newFrameReader(conn),
-		sfm:    sfm,
+		sfm:    id.sfm,
 		little: reply[hdrEndian] != endianBig,
 	}
-	if sfm {
+	if id.sfm {
 		c.layout, err = core.LayoutOf[Resp]()
 		if err != nil {
 			conn.Close()
@@ -433,7 +377,7 @@ func (c *ServiceClient[Req, Resp]) Close() error {
 func (c *ServiceClient[Req, Resp]) Call(req *Req) (*Resp, error) {
 	if c.timeout > 0 {
 		c.conn.SetDeadline(time.Now().Add(c.timeout))
-		defer c.conn.SetDeadline(zeroTime())
+		defer c.conn.SetDeadline(time.Time{})
 	}
 	// Send the request in the appropriate regime.
 	if c.sfm {
@@ -470,46 +414,33 @@ func (c *ServiceClient[Req, Resp]) Call(req *Req) (*Resp, error) {
 	if err != nil {
 		return nil, err
 	}
-	if status[0] == 0 {
-		msg := make([]byte, n)
-		if err := c.fr.ReadFull(msg); err != nil {
-			return nil, err
-		}
-		if wire.Checksum(msg) != crc {
-			return nil, fmt.Errorf("ros: service %q reply: %w", c.name, wire.ErrCorruptFrame)
-		}
-		return nil, &ServiceError{Service: c.name, Msg: string(msg)}
+	// SFM responses land straight in an arena, verified before the
+	// endianness conversion mutates them and before adoption: a corrupt
+	// frame never becomes a live message.
+	var mgr *core.Manager
+	if c.sfm && status[0] != 0 {
+		mgr = core.Default()
 	}
-
-	if c.sfm {
-		buf := core.Default().GetBuffer(n)
-		if err := c.fr.ReadFull(buf.Bytes()[:n]); err != nil {
-			buf.Discard()
-			return nil, err
-		}
-		// Verify before endianness conversion mutates the bytes and
-		// before the buffer is adopted — a corrupt frame must never
-		// become a live message.
-		if wire.Checksum(buf.Bytes()[:n]) != crc {
-			buf.Discard()
-			return nil, fmt.Errorf("ros: service %q reply: %w", c.name, wire.ErrCorruptFrame)
-		}
-		if err := core.ConvertEndianness(buf.Bytes()[:n], c.layout, c.little); err != nil {
-			buf.Discard()
-			return nil, err
-		}
-		return core.Adopt[Resp](buf, n)
+	img, err := c.fr.payload(n, 0, crc, mgr)
+	if err == wire.ErrCorruptFrame {
+		return nil, fmt.Errorf("ros: service %q reply: %w", c.name, err)
 	}
-	frame, err := c.fr.frame(n)
 	if err != nil {
 		return nil, err
 	}
-	if wire.Checksum(frame) != crc {
-		return nil, fmt.Errorf("ros: service %q reply: %w", c.name, wire.ErrCorruptFrame)
+	if status[0] == 0 {
+		return nil, &ServiceError{Service: c.name, Msg: string(img.p)}
+	}
+	if c.sfm {
+		if err := core.ConvertEndianness(img.p, c.layout, c.little); err != nil {
+			img.discard()
+			return nil, err
+		}
+		return core.Adopt[Resp](img.buf, n)
 	}
 	resp := new(Resp)
 	rs, _ := any(resp).(Serializable)
-	if err := rs.DeserializeROS(wire.NewReader(frame)); err != nil {
+	if err := rs.DeserializeROS(wire.NewReader(img.p)); err != nil {
 		return nil, err
 	}
 	return resp, nil

@@ -2,7 +2,6 @@ package ros
 
 import (
 	"fmt"
-	"os"
 	"strconv"
 	"time"
 
@@ -12,35 +11,14 @@ import (
 	"rossf/internal/wire"
 )
 
-// Shared-memory transport negotiation and framing.
-//
-// The subscriber's connection header may carry a transport offer; the
-// publisher answers with its selection. Both sides are pure header
-// extension — an old publisher ignores the offer, an old subscriber
-// never sees a selection, and either way the connection converges on
-// plain TCP framing (fuzzed in internal/wire).
-//
-//	subscriber → publisher: transports=shm,tcp  pid=<pid>  bootid=<id>
-//	publisher → subscriber: transport=shm  shmprefix=<path>
-//	                        shmpeer=<id>   shmlease=<ms>  shmgen=<gen>
-//
-// On a connection that negotiated shm, every frame payload is prefixed
-// with a one-byte tag: tagDescriptor frames carry a 24-byte shm
-// descriptor instead of the message bytes (the zero-copy path), and
-// tagInline frames carry the message bytes themselves — the per-message
-// fallback for messages whose arena is not in a shared slot (heap-
-// backed, oversized). The frame CRC covers tag plus body.
-const (
-	hdrTransports = "transports" // subscriber → publisher offer
-	hdrPID        = "pid"
-	hdrBootID     = "bootid"
-	hdrTransport  = "transport" // publisher → subscriber selection
-	hdrShmPrefix  = "shmprefix"
-	hdrShmPeer    = "shmpeer"
-	hdrShmLeaseMS = "shmlease"
-	hdrShmGen     = "shmgen"
-)
-
+// Shared-memory transport framing. A subscriber's shm offer and the
+// publisher's grant ride the connection header (handshake.go). On a
+// connection that negotiated shm, every frame payload is prefixed with
+// a one-byte tag: tagDescriptor frames carry a 24-byte shm descriptor
+// instead of the message bytes (the zero-copy path), and tagInline
+// frames carry the message bytes themselves — the per-message fallback
+// for messages whose arena is not in a shared slot (heap-backed,
+// oversized). The frame CRC covers tag plus body.
 const (
 	tagInline     byte = 0x01
 	tagDescriptor byte = 0x02
@@ -59,51 +37,6 @@ type shmSender struct {
 // metrics are disabled. Callers must nil-check: the struct pointer
 // itself (unlike the Counter/Gauge methods) is not nil-safe.
 func (n *Node) shmStats() *obs.ShmStats { return n.metrics.Shm() }
-
-// negotiateShm runs the publisher side of transport selection: shm is
-// chosen only by an endpoint that mints descriptors (a typed SFM
-// publisher — raw publishers only ever ship frames), on a node with a
-// store, for a subscriber that offered shm from the same boot (same
-// machine), and only while a peer lease slot is free. Every other
-// combination — and any failure — selects TCP. It returns the header fields to merge into
-// the handshake reply and, for shm, the sender granting this
-// connection's pubConn descriptor access.
-func (ep *pubEndpoint) negotiateShm(req map[string]string) (map[string]string, *shmSender) {
-	store := ep.node.shmStore
-	capable := ep.sfm && !ep.raw && store != nil
-	shmOK := capable && req[hdrBootID] == shm.BootID()
-	if wire.NegotiateTransport(req[hdrTransports], shmOK) != wire.TransportNameShm {
-		// A subscriber that offered shm against a shm-capable endpoint
-		// but presented a different boot id lives on another machine (or
-		// across a reboot): a by-design TCP fallback, but counted so the
-		// fallback total always has an explanation.
-		if capable && req[hdrBootID] != shm.BootID() &&
-			wire.OffersTransport(req[hdrTransports], wire.TransportNameShm) {
-			if st := ep.node.shmStats(); st != nil {
-				st.Fallbacks.Inc()
-				st.FallbackRemotePeer.Inc()
-			}
-		}
-		return map[string]string{hdrTransport: wire.TransportNameTCP}, nil
-	}
-	pid, _ := strconv.ParseUint(req[hdrPID], 10, 32)
-	peer, gen, err := store.AcquirePeer(uint32(pid))
-	if err != nil {
-		// Peer table full: this subscriber runs over TCP.
-		if st := ep.node.shmStats(); st != nil {
-			st.Fallbacks.Inc()
-			st.FallbackPeerTableFull.Inc()
-		}
-		return map[string]string{hdrTransport: wire.TransportNameTCP}, nil
-	}
-	return map[string]string{
-		hdrTransport:  wire.TransportNameShm,
-		hdrShmPrefix:  store.Prefix(),
-		hdrShmPeer:    strconv.Itoa(peer),
-		hdrShmLeaseMS: strconv.FormatInt(store.LeaseTimeout().Milliseconds(), 10),
-		hdrShmGen:     strconv.FormatUint(uint64(gen), 10),
-	}, &shmSender{store: store, peer: peer, gen: gen}
-}
 
 // shmOutcome classifies one attempt to ship a message as a descriptor,
 // so the publish path can count (and warn about) the right fallback
@@ -192,6 +125,3 @@ func newShmReceiver(reply map[string]string, stats *obs.ShmStats) (*shm.Mapper, 
 	}
 	return m, nil
 }
-
-// pidString is this process's pid for the handshake offer.
-func pidString() string { return strconv.Itoa(os.Getpid()) }

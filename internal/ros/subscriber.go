@@ -1,6 +1,7 @@
 package ros
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"log"
@@ -15,7 +16,6 @@ import (
 	"rossf/internal/core"
 	"rossf/internal/obs"
 	"rossf/internal/shm"
-	"rossf/internal/wire"
 )
 
 // TransportMode selects how a subscriber reaches publishers.
@@ -400,20 +400,7 @@ func Subscribe[T any](n *Node, topic string, cb func(*T), opts ...SubOption) (*S
 		o(&cfg)
 	}
 
-	s := &Subscriber{
-		node:      n,
-		topic:     topic,
-		typeName:  typeName,
-		md5:       md5,
-		retry:     cfg.retry.withDefaults(),
-		transport: cfg.transport,
-		connState: cfg.connState,
-		noRelay:   cfg.noRelay,
-		fields:    cfg.fields,
-		stats:     n.metrics.Subscriber(topic),
-		conns:     make(map[string]*subConn),
-		inproc:    make(map[*pubEndpoint]struct{}),
-	}
+	s := newSubscriber(n, topic, typeName, md5, cfg)
 	if cfg.queueSize > 0 {
 		s.queue = newDispatchQueue(cfg.queueSize)
 	}
@@ -433,18 +420,46 @@ func Subscribe[T any](n *Node, topic string, cb func(*T), opts ...SubOption) (*S
 		return nil, fmt.Errorf("ros: type %T implements neither Serializable nor SFMessage", new(T))
 	}
 
-	if err := n.registerSub(s); err != nil {
+	if err := s.watch(cfg.transport); err != nil {
 		return nil, err
 	}
-	cancel, err := n.master.WatchPublishers(topic, typeName, md5, func(pubs []PublisherInfo) {
-		s.onPublishers(pubs, cfg.transport)
+	return s, nil
+}
+
+// newSubscriber builds a subscription's state from its binding and
+// options; the caller installs the sink, then calls watch.
+func newSubscriber(n *Node, topic, typeName, md5 string, cfg subConfig) *Subscriber {
+	return &Subscriber{
+		node:      n,
+		topic:     topic,
+		typeName:  typeName,
+		md5:       md5,
+		retry:     cfg.retry.withDefaults(),
+		transport: cfg.transport,
+		connState: cfg.connState,
+		noRelay:   cfg.noRelay,
+		fields:    cfg.fields,
+		stats:     n.metrics.Subscriber(topic),
+		conns:     make(map[string]*subConn),
+		inproc:    make(map[*pubEndpoint]struct{}),
+	}
+}
+
+// watch registers the subscription with its node and has the master
+// report the topic's publishers, reconciled under mode.
+func (s *Subscriber) watch(mode TransportMode) error {
+	if err := s.node.registerSub(s); err != nil {
+		return err
+	}
+	cancel, err := s.node.master.WatchPublishers(s.topic, s.typeName, s.md5, func(pubs []PublisherInfo) {
+		s.onPublishers(pubs, mode)
 	})
 	if err != nil {
-		n.unregisterSub(s)
-		return nil, err
+		s.node.unregisterSub(s)
+		return err
 	}
 	s.cancelWatch = cancel
-	return s, nil
+	return nil
 }
 
 // Topic returns the subscribed topic name.
@@ -632,66 +647,13 @@ func (s *Subscriber) runOnce(addr string, sc *subConn) (connected, permanent boo
 		return false, false
 	}
 	defer conn.Close()
-	k := s.sink
-	format := formatROS1
-	if k.sfm {
-		format = formatSFM
-	}
-	conn.SetDeadline(nowPlusHandshake())
-	fields := map[string]string{
-		hdrTopic:    s.topic,
-		hdrType:     s.typeName,
-		hdrMD5:      s.md5,
-		hdrCallerID: s.node.name,
-		hdrFormat:   format,
-		hdrEndian:   nativeEndianName(core.NativeLittleEndian()),
-	}
-	if s.offersShm() && !sc.shmDisabled() {
-		fields[hdrTransports] = wire.TransportNameShm + "," + wire.TransportNameTCP
-		fields[hdrPID] = pidString()
-		fields[hdrBootID] = shm.BootID()
-	}
-	if k.sfm && len(s.fields) > 0 && !sc.fieldsDisabled() {
-		fields[hdrFields] = s.fieldsOffer()
-	}
-	if err := writeHeader(conn, fields); err != nil {
-		return false, false
-	}
-	reply, err := readHeader(conn)
+	p, err := s.handshake(conn, sc)
 	if err != nil {
-		return false, false
+		var rejected *rejectedError
+		return false, errors.As(err, &rejected)
 	}
-	if _, bad := reply[hdrError]; bad {
-		return false, true
-	}
-	conn.SetDeadline(zeroTime())
-	p := &pump{sink: k, little: reply[hdrEndian] != endianBig}
-	switch {
-	case reply[hdrTransport] == wire.TransportNameShm:
-		var mp *shm.Mapper
-		if k.adoptsShm() {
-			mp, _ = newShmReceiver(reply, s.node.shmStats())
-		}
-		if mp == nil {
-			// The publisher selected shm but this side cannot stand it up
-			// (incompatible segment layout, mapping failure, malformed
-			// reply — all shapes of a protocol-revision mismatch): disable
-			// shm on this link and redial; the next handshake offers TCP
-			// only.
-			sc.disableShm()
-			if st := s.node.shmStats(); st != nil {
-				st.Fallbacks.Inc()
-				st.FallbackOldBuild.Inc()
-			}
-			return false, false
-		}
-		defer mp.Close()
-		p.dec, p.mp, p.fr = decodeTagged, mp, newTaggedFrameReader(conn)
-	case reply[hdrFieldwire] == fieldwireV1:
-		p.dec, p.sc, p.fw = decodeSparse, sc, s.node.fieldwireStats()
-	}
-	if p.fr == nil {
-		p.fr = newFrameReader(conn)
+	if p.mp != nil {
+		defer p.mp.Close()
 	}
 	s.notifyState(addr, ConnConnected)
 	p.run()
@@ -757,8 +719,7 @@ type subConn struct {
 	addr     string
 	conn     net.Conn
 	closed   bool
-	noShm    bool // link-local shm opt-out after a failed shm setup
-	noFields bool // link-local field-mask opt-out after decode failures
+	declined offerSet // offers this link no longer makes on redial
 	done     chan struct{}
 }
 
@@ -782,31 +743,17 @@ func (c *subConn) isClosed() bool {
 	return c.closed
 }
 
-// disableShm stops this link from offering shm on future redials.
-func (c *subConn) disableShm() {
+// decline stops this link from making offer o on future redials.
+func (c *subConn) decline(o offerSet) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.noShm = true
+	c.declined |= o
 }
 
-func (c *subConn) shmDisabled() bool {
+func (c *subConn) declinedOffers() offerSet {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.noShm
-}
-
-// disableFields stops this link from offering a field mask on future
-// redials (after persistent sparse-decode failure).
-func (c *subConn) disableFields() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.noFields = true
-}
-
-func (c *subConn) fieldsDisabled() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.noFields
+	return c.declined
 }
 
 // sleep waits for d or until the link closes; it reports false when the
