@@ -38,13 +38,16 @@ chaos-failover:
 	$(GO) test -race -count=1 -run 'TestStandby|TestStaleEpoch|TestPromoted|TestClientSkips|TestReplayConvergenceAcrossPromotion|TestMultiAddressDialShape|TestUnadopted' ./internal/ros/
 
 # Short fuzz passes: long enough to catch regressions in the frame
-# scanner and parser, short enough for CI.
+# scanner, the parsers and the connection handshake's accept side,
+# short enough for CI.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzReadFrame -fuzztime=10s ./internal/wire/
 	$(GO) test -run=NONE -fuzz=FuzzParse$$ -fuzztime=10s ./internal/msg/
 	$(GO) test -run=NONE -fuzz=FuzzParseSrv -fuzztime=10s ./internal/msg/
 	$(GO) test -run=NONE -fuzz=FuzzSparseDecoder -fuzztime=10s ./internal/fieldwire/
 	$(GO) test -run=NONE -fuzz=FuzzIngressEquivalence -fuzztime=10s ./internal/wire/
+	$(GO) test -run=NONE -fuzz=FuzzParseHeader -fuzztime=10s ./internal/wire/
+	$(GO) test -run=NONE -fuzz=FuzzAcceptHeader -fuzztime=10s ./internal/ros/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -953,3 +953,125 @@ func TestServiceFrameContract(t *testing.T) {
 		}
 	}
 }
+
+// FuzzAcceptHeader feeds arbitrary header bodies — field sets aimed at
+// a topic endpoint or a service endpoint — to the accept path over
+// net.Pipe. Whatever arrives, the accept side must not panic; it
+// answers a parseable header with either a lone error field or its
+// identity fields, and a malformed one with nothing; it grants shm only
+// to a transports offer carrying this machine's boot id; and every
+// peer lease a grant takes is retired once the connection drops.
+func FuzzAcceptHeader(f *testing.F) {
+	topicReq := map[string]string{hdrTopic: "fuzz/topic", hdrType: contractMaskType, hdrMD5: contractMaskMD5,
+		hdrCallerID: "fuzz", hdrFormat: formatSFM, hdrEndian: endianLittle}
+	svcReq := map[string]string{hdrService: "fuzz/svc", hdrReqType: contractSFMType, hdrRspType: contractSFMType,
+		hdrMD5: contractSFMMD5 + contractSFMMD5, hdrCallerID: "fuzz", hdrFormat: formatSFM, hdrEndian: endianBig}
+	for _, h := range []map[string]string{
+		topicReq,
+		kv(topicReq, hdrTransports, "shm,tcp", hdrPID, "1", hdrBootID, shm.BootID()),
+		kv(topicReq, hdrTransports, "tcp,shm", hdrBootID, shm.BootID(), hdrFields, "height,width"),
+		kv(topicReq, hdrTransports, "shm", hdrBootID, "elsewhere", hdrFields, "tags"),
+		kv(topicReq, hdrFields, ",,height"),
+		kv(topicReq, hdrFormat, formatROS1),
+		kv(topicReq, hdrTopic, "fuzz/none"),
+		svcReq,
+		kv(svcReq, hdrMD5, "x"),
+		kv(svcReq, hdrService, ""),
+		{},
+	} {
+		f.Add(wire.AppendHeader(nil, h)[4:])
+	}
+	f.Add([]byte{3, 0, 0, 0, 'a', '=', 'b', 9})
+
+	var store *shm.Store
+	opts := []Option{WithMaster(NewLocalMaster()), WithMetrics(obs.NewRegistry())}
+	if shm.Available() {
+		var err error
+		if store, err = shm.NewStore(shm.Options{Dir: f.TempDir()}); err != nil {
+			f.Fatalf("NewStore: %v", err)
+		}
+		f.Cleanup(func() { store.Close() })
+		opts = append(opts, WithShmStore(store))
+	}
+	node, err := NewNode("fuzz_pub", opts...)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { node.Close() })
+	pub, err := Advertise[contractMsg](node, "fuzz/topic", WithEgressShards(-1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := AdvertiseService(node, "fuzz/svc", sfmPlusOne); err != nil {
+		f.Fatal(err)
+	}
+	leases := func() int {
+		if store == nil {
+			return 0
+		}
+		return store.ActivePeers()
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		base := leases()
+		srv, cli := net.Pipe()
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			node.serveSubscriber(srv)
+		}()
+		cli.SetDeadline(time.Now().Add(5 * time.Second))
+		// A side that refuses the length prefix closes the pipe, which
+		// fails this write and the read below alike.
+		go cli.Write(append(binary.LittleEndian.AppendUint32(nil, uint32(len(body))), body...))
+		reply, rerr := readHeader(cli)
+		req, perr := wire.ParseHeader(body)
+		switch {
+		case perr != nil || len(body) > maxHeaderSize:
+			if rerr == nil {
+				t.Fatalf("malformed header answered with %v", reply)
+			}
+		case rerr != nil:
+			t.Fatalf("no reply to a well-formed header %v: %v", req, rerr)
+		case reply[hdrError] != "":
+			if len(reply) != 1 {
+				t.Fatalf("refusal carries more than the error: %v", reply)
+			}
+		default:
+			for _, k := range []string{hdrMD5, hdrCallerID, hdrFormat, hdrEndian} {
+				if reply[k] == "" {
+					t.Fatalf("reply %v lacks identity field %q", reply, k)
+				}
+			}
+		}
+		granted := reply[hdrTransport] == wire.TransportNameShm
+		if granted && (!wire.OffersTransport(req[hdrTransports], wire.TransportNameShm) || req[hdrBootID] != shm.BootID()) {
+			t.Fatalf("shm granted to %v", req)
+		}
+		if want := base; leases() != want+boolInt(granted) {
+			t.Fatalf("active leases %d after the handshake, want %d", leases(), want+boolInt(granted))
+		}
+		cli.Close()
+		<-served
+		// A publish makes any attached connection notice the drop; its
+		// teardown retires the lease.
+		m, err := core.NewWithCapacity[contractMsg](4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pub.Publish(m); err != nil {
+			t.Fatal(err)
+		}
+		core.Release(m)
+		waitFor(t, 5*time.Second, "the dropped link to release its lease", func() bool {
+			return leases() == base && pub.NumSubscribers() == 0
+		})
+	})
+}
+
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}

@@ -475,6 +475,24 @@ func (s *Store) RetirePeer(peer int) {
 	}
 }
 
+// ActivePeers reports how many peer leases are held by live
+// connections: granted and not yet retired. Test and debug visibility
+// into the handshake's lease accounting.
+func (s *Store) ActivePeers() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ctl == nil {
+		return 0
+	}
+	n := 0
+	for p := 0; p < MaxPeers; p++ {
+		if peerAt(s.ctl, p).state.Load() == peerActive {
+			n++
+		}
+	}
+	return n
+}
+
 // reapLoop periodically reclaims peers whose heartbeat exceeded the
 // lease timeout. It stops at Close; a deferred teardown continues
 // reaping from the janitor instead, because draining the last lease is
