@@ -48,10 +48,6 @@ func WithFields(paths ...string) SubOption {
 // metrics are disabled).
 func (n *Node) fieldwireStats() *obs.FieldwireStats { return n.metrics.Fieldwire() }
 
-// fieldsOffer renders the subscription's field list as the handshake
-// offer value.
-func (s *Subscriber) fieldsOffer() string { return strings.Join(s.fields, ",") }
-
 // resolveFieldMask turns a subscriber's comma-joined offer into a
 // resolved mask against this endpoint's type, or a typed reject error.
 func (ep *pubEndpoint) resolveFieldMask(list string) (*fieldwire.Mask, error) {

@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"strconv"
+	"strings"
 	"time"
 
 	"rossf/internal/core"
@@ -312,7 +313,7 @@ func (s *Subscriber) handshake(conn net.Conn, sc *subConn) (*pump, error) {
 		offers[hdrBootID] = shm.BootID()
 	}
 	if k.sfm && len(s.fields) > 0 && declined&offerFields == 0 {
-		offers[hdrFields] = s.fieldsOffer()
+		offers[hdrFields] = strings.Join(s.fields, ",")
 	}
 	reply, err := dialHandshake(conn, identity{topic: s.topic, typeName: s.typeName, md5: s.md5,
 		callerID: s.node.name, sfm: k.sfm, little: core.NativeLittleEndian()}, offers)

@@ -330,8 +330,8 @@ func subscribeSFM(mode TransportMode, fields ...string) subscribeFunc {
 	}
 }
 
-// subscribeMask also checks that unrequested fields arrive empty when a
-// mask is live.
+// subscribeMask reports height 0 unless width, requested by every
+// masked case, arrives intact.
 func subscribeMask(mode TransportMode, fields ...string) subscribeFunc {
 	return func(t *testing.T, n *Node, topic string, got chan<- uint32) *Subscriber {
 		s, err := Subscribe(n, topic, func(m *contractMsg) {

@@ -113,14 +113,25 @@ func (ep *pubEndpoint) advertise(n *Node, opts []PubOption) error {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	ep.node, ep.stats = n, n.metrics.Publisher(ep.topic)
-	ep.queueSize, ep.latch, ep.writeTimeout, ep.egressShards = cfg.queueSize, cfg.latch, cfg.writeTimeout, cfg.egressShards
-	ep.conns, ep.inproc = make(map[*pubConn]struct{}), make(map[*sink]uint64)
+	ep.node = n
+	ep.queueSize = cfg.queueSize
+	ep.latch = cfg.latch
+	ep.writeTimeout = cfg.writeTimeout
+	ep.egressShards = cfg.egressShards
+	ep.stats = n.metrics.Publisher(ep.topic)
+	ep.conns = make(map[*pubConn]struct{})
+	ep.inproc = make(map[*sink]uint64)
 	if err := n.registerPub(ep.topic, ep); err != nil {
 		return err
 	}
-	unregister, err := n.master.RegisterPublisher(ep.topic, PublisherInfo{NodeName: n.name, Addr: n.addr,
-		TypeName: ep.typeName, MD5: ep.md5, Relay: cfg.relay, direct: ep})
+	unregister, err := n.master.RegisterPublisher(ep.topic, PublisherInfo{
+		NodeName: n.name,
+		Addr:     n.addr,
+		TypeName: ep.typeName,
+		MD5:      ep.md5,
+		Relay:    cfg.relay,
+		direct:   ep,
+	})
 	if err != nil {
 		n.unregisterPub(ep.topic)
 		return err

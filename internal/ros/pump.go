@@ -14,11 +14,12 @@ import (
 // The receive pump. Every subscription stream — and the bench drain —
 // runs through one loop, parameterized by a frame decoder (how the
 // stream frames its messages, chosen from the publisher's handshake
-// reply) and a delivery sink (what a verified message image becomes,
-// chosen by the subscription's type). The loop owns the per-frame
-// invariants once: next frame, fold resync bytes, verify the checksum
-// before anything is adopted, count corrupt frames, convert the byte
-// order, dispatch.
+// reply, see handshake.go) and a delivery sink (what a verified
+// message image becomes, chosen by the subscription's type). The loop
+// owns the per-frame invariants once: next frame, fold resync bytes,
+// verify the checksum before anything is adopted (the frame reader's
+// payload step, which the service loops share), count corrupt frames,
+// convert the byte order, dispatch.
 //
 //	decoder   payload                          sinks
 //	plain     the message image                ros1, sfm, raw, count
